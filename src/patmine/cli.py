@@ -64,6 +64,13 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", code=2)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", code=2)
+
+
 def _load_dataset(args: argparse.Namespace) -> Dataset:
     blocks = parse_graphs(_read(args.examples))
     if args.template:
@@ -116,7 +123,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         f"sizes {config.min_pattern_size}..{sizes_hi} strategy={config.strategy.value}"
     )
     t0 = time.perf_counter()
-    results = mine(dataset, config, jobs=args.jobs)
+    results = mine(dataset, config)
     total_s = time.perf_counter() - t0
 
     for res in results:
@@ -136,7 +143,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     print(f"total: {len(results)} pattern(s) in {total_s:.3f} s")
 
     if args.out:
-        Path(args.out).write_text(write_patterns(results), encoding="utf-8")
+        _write(args.out, write_patterns(results))
     if args.csv:
         tag = Path(args.examples).name
         rows = [
@@ -144,7 +151,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
              r.index, r.elapsed_ms, tag, 0)
             for r in results
         ]
-        Path(args.csv).write_text(write_bench_csv(rows), encoding="utf-8")
+        _write(args.csv, write_bench_csv(rows))
     return 0
 
 
@@ -287,7 +294,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"decomposed/monolithic median speedup: {speedup:.2f}x")
 
     if args.csv:
-        Path(args.csv).write_text(write_bench_csv(rows), encoding="utf-8")
+        _write(args.csv, write_bench_csv(rows))
     return 0
 
 
@@ -298,7 +305,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     except EmptyDataset as exc:
         raise CliError(str(exc))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -334,7 +341,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise CliError(str(exc))
     text = write_graphs(dataset)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -368,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-patterns", type=int, default=None)
     p.add_argument("--strategy", choices=["decomposed", "monolithic"],
                    default="decomposed")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for decomposed coverage")
     p.add_argument("--out", help="write mined patterns to this file")
     p.add_argument("--csv", help="write per-pattern timings to this CSV")
     p.set_defaults(func=cmd_mine)

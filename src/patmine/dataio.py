@@ -294,11 +294,22 @@ def parse_patterns(text: str) -> list[PatternBlock]:
         elif fields[0] == "v":
             if header is None:
                 raise GraphSyntaxError("vertex line outside a pattern block", lineno)
-            vertices[int(fields[1])] = sys.intern(fields[2])
+            if len(fields) != 3:
+                raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
+            try:
+                vid = int(fields[1])
+            except ValueError:
+                raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+            vertices[vid] = sys.intern(fields[2])
         elif fields[0] == "e":
             if header is None:
                 raise GraphSyntaxError("edge line outside a pattern block", lineno)
-            edges.append((int(fields[1]), int(fields[2])))
+            if len(fields) != 3:
+                raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
+            try:
+                edges.append((int(fields[1]), int(fields[2])))
+            except ValueError:
+                raise GraphSyntaxError("non-integer edge endpoint", lineno)
         else:
             raise GraphSyntaxError(f"unrecognized line kind {fields[0]!r}", lineno)
     finish()

@@ -147,7 +147,7 @@ def candidate_subsets(
 
 
 def is_valid_pattern(
-    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig, jobs: int = 1
+    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig
 ) -> tuple[bool, int, int]:
     """Coverage check with early termination (the decomposed evaluation).
 
@@ -157,21 +157,13 @@ def is_valid_pattern(
     counts actually established.
     """
     pos_rep = coverage(
-        pattern,
-        dataset,
-        ExampleClass.POSITIVE,
-        stop_at=config.n_pos_threshold,
-        jobs=jobs,
+        pattern, dataset, ExampleClass.POSITIVE, stop_at=config.n_pos_threshold
     )
     pos = pos_rep.positive_covered
     if pos < config.n_pos_threshold:
         return False, pos, 0
     neg_rep = coverage(
-        pattern,
-        dataset,
-        ExampleClass.NEGATIVE,
-        stop_at=config.n_neg_threshold + 1,
-        jobs=jobs,
+        pattern, dataset, ExampleClass.NEGATIVE, stop_at=config.n_neg_threshold + 1
     )
     neg = neg_rep.negative_covered
     return neg <= config.n_neg_threshold, pos, neg
@@ -259,7 +251,7 @@ def _evaluate_monolithic(
 
 
 def evaluate_strategy(
-    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig, jobs: int = 1
+    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig
 ) -> tuple[bool, int, int]:
     """Dispatch the validity check to the configured strategy.
 
@@ -269,7 +261,7 @@ def evaluate_strategy(
     """
     if config.strategy is Strategy.MONOLITHIC:
         return _evaluate_monolithic(pattern, dataset, config)
-    return is_valid_pattern(pattern, dataset, config, jobs=jobs)
+    return is_valid_pattern(pattern, dataset, config)
 
 
 def template_occurrences(
@@ -291,12 +283,15 @@ def template_occurrences(
     ]
 
 
-def mine(dataset: Dataset, config: MiningConfig, jobs: int = 1) -> list[MineResult]:
+def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     """Enumerate canonical valid patterns, smallest size first.
 
     Within a size level, candidates are scanned in lexicographic subset
-    order; an accepted pattern's template occurrences become no-goods. When
-    a level is exhausted the no-goods are cleared and the size advances. The
+    order; an accepted pattern's template occurrences become no-goods. Those
+    cover every same-size subset isomorphic to the pattern, so no later
+    candidate of the level is isomorphic to an accepted one. When a level
+    is exhausted the no-goods are cleared and the size advances. Coverage
+    runs serially in the calling thread. The
     sequence of emitted patterns is deterministic for fixed inputs; only the
     elapsed_ms fields vary between runs.
     """
@@ -311,13 +306,10 @@ def mine(dataset: Dataset, config: MiningConfig, jobs: int = 1) -> list[MineResu
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         nogoods.clear()
-        accepted: list[LabeledGraph] = []
         for subset in candidate_subsets(template, size, nogoods):
             pattern = induced_subgraph(template, subset)
-            ok, pos, neg = evaluate_strategy(pattern, dataset, config, jobs=jobs)
+            ok, pos, neg = evaluate_strategy(pattern, dataset, config)
             if not ok:
-                continue
-            if any(is_isomorphic(pattern, seen) for seen in accepted):
                 continue
             now = time.perf_counter()
             results.append(
@@ -331,7 +323,6 @@ def mine(dataset: Dataset, config: MiningConfig, jobs: int = 1) -> list[MineResu
                 )
             )
             t_prev = now
-            accepted.append(pattern)
             for occ in template_occurrences(pattern, template):
                 nogoods.add(occ)
             if config.max_patterns is not None and len(results) >= config.max_patterns:

@@ -8,7 +8,6 @@ Mappings are represented as tuples indexed by pattern vertex id.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, VertexId
@@ -82,27 +81,24 @@ def _checks_against_earlier(
     return checks
 
 
-def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | None:
-    """First injective label/edge-preserving mapping, or None if none exists.
+def _plan(
+    pattern: LabeledGraph, target: LabeledGraph
+) -> tuple[list[int], list[list[tuple[int, bool]]], list[list[int]]] | None:
+    """Search order, back-edge checks and per-position target candidates.
 
-    The search is complete: None means no homomorphism exists. The result is
-    deterministic: pattern vertices are tried in connectivity-first order
-    and target candidates in ascending id, so the first solution under that
-    order is returned.
+    Candidates for a pattern vertex share its label, have at least its in-
+    and out-degree, and carry a self-loop where it does. Returns None when
+    no injective mapping can exist: the pattern is larger than the target
+    or some pattern vertex has no candidate.
     """
-    np, nt = pattern.n, target.n
-    if np == 0:
-        return ()
-    if np > nt:
+    if pattern.n > target.n:
         return None
-
     by_label: dict[str, list[int]] = {}
-    for t in range(nt):
+    for t in range(target.n):
         by_label.setdefault(target.labels[t], []).append(t)
 
     order = _search_order(pattern)
     checks = _checks_against_earlier(pattern, order)
-
     candidates: list[list[int]] = []
     for v in order:
         lab = pattern.labels[v]
@@ -117,9 +113,24 @@ def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | 
         if not cand:
             return None
         candidates.append(cand)
+    return order, checks, candidates
 
+
+def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | None:
+    """First injective label/edge-preserving mapping, or None if none exists.
+
+    The search is complete: None means no homomorphism exists. The result is
+    deterministic: pattern vertices are tried in connectivity-first order
+    and target candidates in ascending id, so the first solution under that
+    order is returned.
+    """
+    plan = _plan(pattern, target)
+    if plan is None:
+        return None
+    order, checks, candidates = plan
+    np = pattern.n
     assigned: list[int] = []
-    used = [False] * nt
+    used = [False] * target.n
     edges_t = target.edges
 
     def extend(i: int) -> bool:
@@ -162,36 +173,13 @@ def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
     This is the witness stream consumed by the monolithic strategy's
     chronological search, which resumes it to enumerate alternatives.
     """
-    np, nt = pattern.n, target.n
-    if np == 0:
-        yield ()
+    plan = _plan(pattern, target)
+    if plan is None:
         return
-    if np > nt:
-        return
-
-    by_label: dict[str, list[int]] = {}
-    for t in range(nt):
-        by_label.setdefault(target.labels[t], []).append(t)
-
-    order = _search_order(pattern)
-    checks = _checks_against_earlier(pattern, order)
-    candidates: list[list[int]] = []
-    for v in order:
-        lab = pattern.labels[v]
-        self_loop = (v, v) in pattern.edges
-        cand = [
-            t
-            for t in by_label.get(lab, [])
-            if target.out_degree[t] >= pattern.out_degree[v]
-            and target.in_degree[t] >= pattern.in_degree[v]
-            and (not self_loop or (t, t) in target.edges)
-        ]
-        if not cand:
-            return
-        candidates.append(cand)
-
+    order, checks, candidates = plan
+    np = pattern.n
     assigned: list[int] = []
-    used = [False] * nt
+    used = [False] * target.n
     edges_t = target.edges
 
     def extend(i: int):
@@ -259,56 +247,19 @@ def brute_force_homomorphisms(
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """True iff a label-preserving bijection maps the edge sets onto each other.
 
-    Fast rejections (vertex count, label multiset, edge count, degree
-    profiles) precede the backtracking search and never change the answer.
+    Between graphs with equal vertex and edge counts, an injective
+    edge-preserving map is a bijection on vertices and on edges (self-loops
+    included), so one homomorphism search decides the question. The
+    degree-profile comparison is a fast rejection and never changes the
+    answer.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.labels) != sorted(g2.labels):
         return False
     prof1 = sorted((g1.labels[v], g1.out_degree[v], g1.in_degree[v]) for v in range(g1.n))
     prof2 = sorted((g2.labels[v], g2.out_degree[v], g2.in_degree[v]) for v in range(g2.n))
     if prof1 != prof2:
         return False
-
-    n = g1.n
-    candidates = [
-        [
-            t
-            for t in range(n)
-            if g2.labels[t] == g1.labels[v]
-            and g2.out_degree[t] == g1.out_degree[v]
-            and g2.in_degree[t] == g1.in_degree[v]
-        ]
-        for v in range(n)
-    ]
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for t in candidates[v]:
-            if used[t]:
-                continue
-            ok = True
-            for w in range(v):
-                if ((v, w) in g1.edges) != ((t, mapping[w]) in g2.edges):
-                    ok = False
-                    break
-                if ((w, v) in g1.edges) != ((mapping[w], t) in g2.edges):
-                    ok = False
-                    break
-            if ok and ((v, v) in g1.edges) == ((t, t) in g2.edges):
-                mapping[v] = t
-                used[t] = True
-                if extend(v + 1):
-                    return True
-                used[t] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    return find_homomorphism(g1, g2) is not None
 
 
 def coverage(
@@ -316,53 +267,25 @@ def coverage(
     dataset: Dataset,
     cls: ExampleClass,
     stop_at: int | None = None,
-    jobs: int = 1,
 ) -> CoverageReport:
     """Count examples of ``cls`` admitting a homomorphism from ``pattern``.
 
-    Examples are scanned in graph_id order. With ``stop_at=k`` the scan stops
+    Examples are scanned serially in graph_id order, one
+    :func:`find_homomorphism` call each. With ``stop_at=k`` the scan stops
     as soon as the covered count reaches k and the remaining examples are
-    reported as None (untested); ``stop_at=None`` tests all. ``jobs > 1``
-    evaluates examples in concurrent waves, with results aggregated in the
-    sequential prefix order so counts and None-marking are identical.
+    reported as None (untested); ``stop_at=None`` tests all.
     """
     if stop_at is not None and stop_at < 0:
         raise ValueError("stop_at must be non-negative")
-    examples = dataset.of_class(cls)
     per_example: list[tuple[int, bool | None]] = []
     covered = 0
-
-    def stopped() -> bool:
-        return stop_at is not None and covered >= stop_at
-
-    if jobs <= 1 or len(examples) <= 1:
-        for ex in examples:
-            if stopped():
-                per_example.append((ex.graph_id, None))
-                continue
-            hit = find_homomorphism(pattern, ex.graph) is not None
-            per_example.append((ex.graph_id, hit))
-            covered += int(hit)
-    else:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(examples))) as pool:
-            idx = 0
-            while idx < len(examples):
-                wave = examples[idx : idx + jobs]
-                if stopped():
-                    per_example.extend((ex.graph_id, None) for ex in wave)
-                else:
-                    futures = [
-                        pool.submit(find_homomorphism, pattern, ex.graph)
-                        for ex in wave
-                    ]
-                    for ex, fut in zip(wave, futures):
-                        if stopped():
-                            per_example.append((ex.graph_id, None))
-                        else:
-                            hit = fut.result() is not None
-                            per_example.append((ex.graph_id, hit))
-                            covered += int(hit)
-                idx += len(wave)
+    for ex in dataset.of_class(cls):
+        if stop_at is not None and covered >= stop_at:
+            per_example.append((ex.graph_id, None))
+            continue
+        hit = find_homomorphism(pattern, ex.graph) is not None
+        per_example.append((ex.graph_id, hit))
+        covered += int(hit)
 
     pos = covered if cls is ExampleClass.POSITIVE else 0
     neg = covered if cls is ExampleClass.NEGATIVE else 0

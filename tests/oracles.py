@@ -71,11 +71,15 @@ def random_graph(
     labels: tuple[str, ...] = ("a", "b"),
     edge_prob: float = 0.4,
     undirected: bool = True,
+    loops: bool = False,
 ) -> LabeledGraph:
+    """Random labelled graph; with ``loops`` each vertex also gets a
+    self-loop with probability ``edge_prob``. Loop-free draws consume the
+    same random numbers with or without the option."""
     edges = []
     for u in range(n):
         for v in range(n):
-            if u != v and rng.random() < edge_prob:
+            if (u != v or loops) and rng.random() < edge_prob:
                 if undirected and u > v:
                     continue
                 edges.append((u, v))

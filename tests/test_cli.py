@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import patmine
 from patmine.cli import main
 
 DEMO = "tests/fixtures/demo.graphs"
@@ -74,6 +79,14 @@ class TestMine:
         )
         assert code == 0
 
+    def test_out_into_missing_directory_is_io_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "mine", "--examples", DEMO, "--npos", "1",
+            "--max-size", "3", "--out", str(tmp_path / "missing" / "p.txt"),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_csv_output(self, capsys, tmp_path):
         csv_file = tmp_path / "times.csv"
         code, _, _ = run(
@@ -119,6 +132,19 @@ class TestCheck:
             "--examples", DEMO,
         )
         assert code == 2
+
+    def test_malformed_pattern_line_exits_one_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.pattern"
+        bad.write_text("p # 1 size=2 pos=1 neg=0 time_ms=0.000\nv x a\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(patmine.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "patmine.cli", "check", "--pattern", str(bad),
+             "--examples", DEMO, "--npos", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: line 2: non-integer vertex id 'x'\n"
 
 
 class TestBench:
@@ -188,6 +214,14 @@ class TestEncode:
             capsys, "encode", "--target", "prolog", "--examples", DEMO,
         )
         assert code == 1
+
+    def test_out_into_missing_directory_is_io_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "encode", "--target", "asp", "--examples", DEMO, "--npos", "1",
+            "--out", str(tmp_path / "missing" / "demo.lp"),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 class TestGen:

@@ -144,6 +144,15 @@ class TestWritePatterns:
     def test_empty_results(self):
         assert write_patterns([]) == ""
 
+    @pytest.mark.parametrize(
+        "line", ["v x a", "v 0", "v 0 a b", "e 0", "e 0 y", "e 0 1 2"]
+    )
+    def test_malformed_vertex_or_edge_line_reports_line(self, line):
+        text = f"p # 1 size=2 pos=1 neg=0 time_ms=0.000\nv 0 a\n{line}\n"
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_patterns(text)
+        assert err.value.line == 3
+
     def test_header_fields(self, dataset, template):
         from patmine import induced_subgraph
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +23,12 @@ from patmine import (
 from patmine.dataio import SynthParams, gen_synthetic
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
 
-from oracles import bijection_isomorphic, exhaustive_pattern_classes
+from oracles import (
+    bijection_isomorphic,
+    exhaustive_pattern_classes,
+    random_graph,
+    unionfind_connected,
+)
 
 
 def config(n_pos=1, n_neg=0, **kw):
@@ -104,6 +111,31 @@ class TestTemplateOccurrences:
     def test_includes_own_subset(self, template):
         pattern = induced_subgraph(template, TAILPATH_SUBSET)
         assert TAILPATH_SUBSET in template_occurrences(pattern, template)
+
+    def test_equals_brute_force_isomorphic_subsets(self):
+        # mine() relies on this to keep accepted patterns pairwise
+        # non-isomorphic within a size level.
+        rng = random.Random(53)
+        checked = 0
+        for trial in range(24):
+            t = random_graph(
+                rng, rng.randrange(4, 8), edge_prob=0.5,
+                undirected=trial % 2 == 0, loops=trial % 4 >= 2,
+            )
+            for k in range(1, 5):
+                connected = [
+                    s for s in itertools.combinations(range(t.n), k)
+                    if unionfind_connected(induced_subgraph(t, s))
+                ]
+                for s in rng.sample(connected, min(3, len(connected))):
+                    pattern = induced_subgraph(t, s)
+                    expected = [
+                        c for c in connected
+                        if bijection_isomorphic(induced_subgraph(t, c), pattern)
+                    ]
+                    assert template_occurrences(pattern, t) == expected
+                    checked += len(expected) > 1
+        assert checked > 0
 
 
 class TestEvaluateStrategy:
