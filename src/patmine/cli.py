@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config/parse errors or failed validation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import statistics
@@ -65,9 +66,22 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write through a temporary file beside the target, then rename it over
+    the target: a failed write leaves no truncated output and no temp file.
+    An existing target that is not a regular file (a device such as
+    /dev/stdout, a FIFO, a directory) is written in place, because a rename
+    would replace it."""
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if target.exists() and not target.is_file():
+            target.write_text(text, encoding="utf-8")
+            return
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise CliError(f"cannot write {path}: {exc}", code=2)
 
 

@@ -251,12 +251,21 @@ def parse_patterns(text: str) -> list[PatternBlock]:
     """Read back a write_patterns file (original template ids preserved)."""
     out: list[PatternBlock] = []
     header: dict | None = None
+    header_line = 0
     vertices: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
 
     def finish() -> None:
         nonlocal header, vertices, edges
         if header is not None:
+            if not vertices:
+                raise GraphSyntaxError("pattern block has no vertex lines", header_line)
+            if header["size"] != len(vertices):
+                raise GraphSyntaxError(
+                    f"size={header['size']} but the block has "
+                    f"{len(vertices)} vertices",
+                    header_line,
+                )
             out.append(
                 PatternBlock(
                     index=header["index"],
@@ -278,6 +287,7 @@ def parse_patterns(text: str) -> list[PatternBlock]:
         fields = line.split()
         if fields[0] == "p":
             finish()
+            header_line = lineno
             if len(fields) != 7 or fields[1] != "#":
                 raise GraphSyntaxError("malformed pattern header", lineno)
             try:
@@ -300,6 +310,8 @@ def parse_patterns(text: str) -> list[PatternBlock]:
                 vid = int(fields[1])
             except ValueError:
                 raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+            if vid in vertices:
+                raise GraphSyntaxError(f"duplicate vertex id {vid}", lineno)
             vertices[vid] = sys.intern(fields[2])
         elif fields[0] == "e":
             if header is None:

@@ -294,6 +294,13 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     runs serially in the calling thread. The
     sequence of emitted patterns is deterministic for fixed inputs; only the
     elapsed_ms fields vary between runs.
+
+    Positive coverage is anti-monotone: a pattern maps into every example
+    that one of its supersets maps into. So a candidate with a one-smaller
+    sub-subset that failed N+ (or was itself pruned) is pruned unevaluated,
+    and a level with no positive-frequent subset ends the run, since every
+    connected (k+1)-subset contains a connected k-subset. Blocked subsets
+    are isomorphic to accepted patterns, hence frequent, and never prune.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -303,12 +310,24 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
     nogoods = NoGoodStore()
+    infrequent: set[tuple[int, ...]] = set()
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         nogoods.clear()
+        below, infrequent = infrequent, set()
+        frequent_seen = False
         for subset in candidate_subsets(template, size, nogoods):
+            if below and any(
+                subset[:i] + subset[i + 1 :] in below for i in range(size)
+            ):
+                infrequent.add(subset)
+                continue
             pattern = induced_subgraph(template, subset)
             ok, pos, neg = evaluate_strategy(pattern, dataset, config)
+            if pos < config.n_pos_threshold:
+                infrequent.add(subset)
+                continue
+            frequent_seen = True
             if not ok:
                 continue
             now = time.perf_counter()
@@ -327,4 +346,6 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 nogoods.add(occ)
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
+        if not frequent_seen:
+            break
     return results

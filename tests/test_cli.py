@@ -13,6 +13,7 @@ import patmine
 from patmine.cli import main
 
 DEMO = "tests/fixtures/demo.graphs"
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(patmine.__file__).parents[1]))
 
 
 def run(capsys, *argv):
@@ -87,6 +88,39 @@ class TestMine:
         assert code == 2
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_out_onto_existing_directory_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        code, _, err = run(
+            capsys, "mine", "--examples", DEMO, "--npos", "1",
+            "--max-size", "3", "--out", str(target),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_out_replaces_existing_file_without_temp_files(self, capsys, tmp_path):
+        out_file = tmp_path / "p.txt"
+        out_file.write_text("stale\n")
+        code, _, _ = run(
+            capsys, "mine", "--examples", DEMO, "--npos", "1",
+            "--max-size", "4", "--out", str(out_file),
+        )
+        assert code == 0
+        assert out_file.read_text().startswith("p # 1 size=4 ")
+        assert [p.name for p in tmp_path.iterdir()] == ["p.txt"]
+
+    def test_out_through_symlink_to_device_writes_in_place(self, capsys, tmp_path):
+        link = tmp_path / "sink"
+        link.symlink_to(os.devnull)
+        code, _, _ = run(
+            capsys, "mine", "--examples", DEMO, "--npos", "1",
+            "--max-size", "4", "--out", str(link),
+        )
+        assert code == 0
+        assert link.is_symlink() and [p.name for p in tmp_path.iterdir()] == ["sink"]
+
     def test_csv_output(self, capsys, tmp_path):
         csv_file = tmp_path / "times.csv"
         code, _, _ = run(
@@ -136,15 +170,35 @@ class TestCheck:
     def test_malformed_pattern_line_exits_one_without_traceback(self, tmp_path):
         bad = tmp_path / "bad.pattern"
         bad.write_text("p # 1 size=2 pos=1 neg=0 time_ms=0.000\nv x a\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(patmine.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "patmine.cli", "check", "--pattern", str(bad),
              "--examples", DEMO, "--npos", "1"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: line 2: non-integer vertex id 'x'\n"
+
+    @pytest.mark.parametrize(
+        ("body", "message"),
+        [
+            ("", "error: line 1: pattern block has no vertex lines"),
+            ("v 0 a\nv 0 a\nv 1 a\n", "error: line 3: duplicate vertex id 0"),
+            ("v 0 a\n", "error: line 1: size=6 but the block has 1 vertices"),
+        ],
+        ids=["header-only", "duplicate-v", "size-mismatch"],
+    )
+    def test_inconsistent_pattern_block_exits_one(self, tmp_path, body, message):
+        bad = tmp_path / "bad.pattern"
+        bad.write_text("p # 1 size=6 pos=1 neg=0 time_ms=0.000\n" + body)
+        proc = subprocess.run(
+            [sys.executable, "-m", "patmine", "check", "--pattern", str(bad),
+             "--examples", DEMO, "--npos", "1", "--nneg", "1"],
+            capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n"
+        assert "valid" not in proc.stdout
 
 
 class TestBench:
@@ -271,3 +325,11 @@ class TestTopLevel:
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
+
+    def test_python_dash_m_version(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "patmine", "--version"],
+            capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"patmine {patmine.__version__}\n"

@@ -153,6 +153,42 @@ class TestWritePatterns:
             parse_patterns(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        ("text", "line", "message"),
+        [
+            ("p # 1 size=6 pos=1 neg=0 time_ms=0.000\n", 1, "no vertex lines"),
+            (
+                "p # 1 size=1 pos=1 neg=0 time_ms=0.000\n"
+                "p # 2 size=1 pos=1 neg=0 time_ms=0.000\nv 0 a\n",
+                1,
+                "no vertex lines",
+            ),
+            (
+                "p # 1 size=2 pos=1 neg=0 time_ms=0.000\nv 0 a\nv 0 a\nv 1 a\n",
+                3,
+                "duplicate vertex id 0",
+            ),
+            (
+                "p # 1 size=3 pos=1 neg=0 time_ms=0.000\nv 0 a\nv 1 a\ne 0 1\n",
+                1,
+                "size=3 but the block has 2 vertices",
+            ),
+        ],
+        ids=["header-only", "empty-block-then-block", "duplicate-v", "size-mismatch"],
+    )
+    def test_inconsistent_block_reports_line(self, text, line, message):
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_patterns(text)
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name", ["candidate_hexchord", "candidate_notinduced", "candidate_tailpath"]
+    )
+    def test_committed_pattern_fixtures_parse(self, fixtures_dir, name):
+        (blk,) = parse_patterns((fixtures_dir / f"{name}.pattern").read_text())
+        assert blk.size == len(blk.subset) == len(blk.labels)
+
     def test_header_fields(self, dataset, template):
         from patmine import induced_subgraph
 

@@ -6,13 +6,17 @@ from collections import Counter
 
 import pytest
 
+import patmine.miner
 from patmine import (
     Dataset,
+    Example,
+    ExampleClass,
     MiningConfig,
     NoGoodStore,
     Strategy,
     build_graph,
     candidate_subsets,
+    coverage,
     evaluate_strategy,
     induced_subgraph,
     is_isomorphic,
@@ -21,7 +25,7 @@ from patmine import (
     template_occurrences,
 )
 from patmine.dataio import SynthParams, gen_synthetic
-from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
+from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, demo_dataset
 
 from oracles import (
     bijection_isomorphic,
@@ -29,6 +33,7 @@ from oracles import (
     random_graph,
     unionfind_connected,
 )
+from test_acceptance import desk_scale_instances
 
 
 def config(n_pos=1, n_neg=0, **kw):
@@ -276,6 +281,97 @@ class TestMine:
         mono = mine(ds, MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
                                      strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in dec] == [r.subset for r in mono]
+
+
+def unpruned_mine(dataset, config):
+    """Reference loop without superset pruning or the early stop: every
+    connected candidate of every size level is evaluated."""
+    template = dataset.template
+    top = min(template.n, config.max_pattern_size or template.n)
+    out = []
+    for size in range(config.min_pattern_size, top + 1):
+        nogoods: set[tuple[int, ...]] = set()
+        for subset in candidate_subsets(template, size, nogoods):
+            pattern = induced_subgraph(template, subset)
+            if evaluate_strategy(pattern, dataset, config)[0]:
+                out.append(subset)
+                nogoods.update(template_occurrences(pattern, template))
+    return out
+
+
+PRUNING_INSTANCES = desk_scale_instances() + [demo_dataset()]
+
+
+def recorded_mine(monkeypatch, dataset, cfg):
+    """Run mine() recording the levels enumerated, the candidates yielded
+    and the subsets whose induced subgraph was built."""
+    levels, yielded, built = [], set(), set()
+    real_candidates = patmine.miner.candidate_subsets
+    real_induced = patmine.miner.induced_subgraph
+
+    def candidates(template, size, nogoods=None):
+        levels.append(size)
+        for subset in real_candidates(template, size, nogoods):
+            yielded.add(subset)
+            yield subset
+
+    def induced(g, subset):
+        built.add(tuple(subset))
+        return real_induced(g, subset)
+
+    monkeypatch.setattr(patmine.miner, "candidate_subsets", candidates)
+    monkeypatch.setattr(patmine.miner, "induced_subgraph", induced)
+    results = mine(dataset, cfg)
+    monkeypatch.undo()
+    return results, levels, yielded, built
+
+
+class TestPruning:
+    @pytest.mark.parametrize("max_size", [None, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("instance", range(len(PRUNING_INSTANCES)))
+    def test_equals_unpruned_reference(self, instance, strategy, max_size):
+        ds = PRUNING_INSTANCES[instance]
+        cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
+                           max_pattern_size=max_size, strategy=strategy)
+        assert [r.subset for r in mine(ds, cfg)] == unpruned_mine(ds, cfg)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_skipped_subsets_are_positive_infrequent(self, monkeypatch, strategy):
+        skipped_total = 0
+        for ds in PRUNING_INSTANCES:
+            cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
+                               strategy=strategy)
+            _, levels, yielded, built = recorded_mine(monkeypatch, ds, cfg)
+            skipped = yielded - built
+            for size in range(max(levels) + 1, ds.template.n + 1):
+                skipped.update(candidate_subsets(ds.template, size))
+            for subset in skipped:
+                pattern = induced_subgraph(ds.template, subset)
+                rep = coverage(pattern, ds, ExampleClass.POSITIVE)
+                assert rep.positive_covered < ds.n_pos_threshold, subset
+            skipped_total += len(skipped)
+        assert skipped_total > 0
+
+    def test_stops_after_first_level_without_frequent_subset(self, monkeypatch):
+        # A branching template of 'a' vertices; every positive is a 3-path,
+        # so sizes 2 and 3 have frequent subsets and every size-4 one fails.
+        template = build_graph(
+            7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)], ["a"] * 7, True
+        )
+        path = build_graph(3, [(0, 1), (1, 2)], ["a"] * 3, True)
+        ds = Dataset(
+            template=template,
+            examples=tuple(Example(i, ExampleClass.POSITIVE, path) for i in range(2)),
+            n_pos_threshold=2,
+            n_neg_threshold=0,
+        )
+        for strategy in Strategy:
+            cfg = config(n_pos=2, strategy=strategy)
+            results, levels, _, _ = recorded_mine(monkeypatch, ds, cfg)
+            assert levels == [2, 3, 4]
+            assert [r.subset for r in results] == [(0, 1), (0, 1, 2)]
+            assert [r.subset for r in results] == unpruned_mine(ds, cfg)
 
 
 class TestMiningConfig:
