@@ -92,6 +92,8 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     n_pos = args.npos
     positives = sum(1 for _, tag, _ in blocks if tag == "pos")
     if getattr(args, "npos_frac", None) is not None:
+        if not 0 <= args.npos_frac <= 1:  # also rejects nan and inf
+            raise CliError(f"--npos-frac must be between 0 and 1, got {args.npos_frac}")
         n_pos = math.ceil(args.npos_frac * positives)
     if n_pos is None:
         n_pos = 1
@@ -101,7 +103,9 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         raise CliError(str(exc))
 
 
-def _mining_config(args: argparse.Namespace, dataset: Dataset) -> MiningConfig:
+def _mining_config(
+    args: argparse.Namespace, dataset: Dataset, strategy: Strategy
+) -> MiningConfig:
     try:
         return MiningConfig(
             n_pos_threshold=dataset.n_pos_threshold,
@@ -109,7 +113,7 @@ def _mining_config(args: argparse.Namespace, dataset: Dataset) -> MiningConfig:
             min_pattern_size=args.min_size,
             max_pattern_size=args.max_size,
             max_patterns=args.max_patterns,
-            strategy=Strategy(args.strategy),
+            strategy=strategy,
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -129,7 +133,7 @@ def _print_dataset_summary(dataset: Dataset) -> None:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
-    config = _mining_config(args, dataset)
+    config = _mining_config(args, dataset, Strategy(args.strategy))
     _print_dataset_summary(dataset)
     sizes_hi = config.max_pattern_size if config.max_pattern_size else dataset.template.n
     print(
@@ -249,19 +253,27 @@ def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise CliError("--repeats must be >= 1")
     dataset, tag, seed = _bench_dataset(args)
     if args.npos is not None or args.nneg != 0:
-        dataset = Dataset(
-            template=dataset.template,
-            examples=dataset.examples,
-            n_pos_threshold=args.npos if args.npos is not None else dataset.n_pos_threshold,
-            n_neg_threshold=args.nneg,
-        )
+        try:
+            dataset = Dataset(
+                template=dataset.template,
+                examples=dataset.examples,
+                n_pos_threshold=(
+                    args.npos if args.npos is not None else dataset.n_pos_threshold
+                ),
+                n_neg_threshold=args.nneg,
+            )
+        except ValueError as exc:
+            raise CliError(str(exc))
     strategies = {
         "both": [Strategy.DECOMPOSED, Strategy.MONOLITHIC],
         "decomposed": [Strategy.DECOMPOSED],
         "monolithic": [Strategy.MONOLITHIC],
     }[args.strategies]
+    configs = [_mining_config(args, dataset, strategy) for strategy in strategies]
 
     _print_dataset_summary(dataset)
     print(
@@ -271,29 +283,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rows: list[tuple[str, int, float, str, int]] = []
     times: dict[str, dict[int, list[float]]] = {}
-    counts: dict[str, set[int]] = {}
-    for strategy in strategies:
-        config = MiningConfig(
-            n_pos_threshold=dataset.n_pos_threshold,
-            n_neg_threshold=dataset.n_neg_threshold,
-            min_pattern_size=args.min_size,
-            max_pattern_size=args.max_size,
-            max_patterns=args.max_patterns,
-            strategy=strategy,
-        )
-        per_index = times.setdefault(strategy.value, {})
+    emitted: dict[str, list[list[tuple[int, ...]]]] = {}
+    for config in configs:
+        name = config.strategy.value
+        per_index = times.setdefault(name, {})
         mine(dataset, config)  # warmup: candidate caches and adjacency tables
         for _ in range(args.repeats):
             results = mine(dataset, config)
-            counts.setdefault(strategy.value, set()).add(len(results))
+            emitted.setdefault(name, []).append([res.subset for res in results])
             for res in results:
-                rows.append((strategy.value, res.index, res.elapsed_ms, tag, seed))
+                rows.append((name, res.index, res.elapsed_ms, tag, seed))
                 per_index.setdefault(res.index, []).append(res.elapsed_ms)
 
-    if len(strategies) == 2 and counts["decomposed"] != counts["monolithic"]:
-        raise CliError(
-            f"strategies disagree on pattern counts: {counts}", code=2
-        )
+    if len(strategies) == 2 and emitted["decomposed"] != emitted["monolithic"]:
+        raise CliError("strategies disagree on the emitted patterns", code=2)
 
     for name, per_index in times.items():
         medians = {i: statistics.median(v) for i, v in sorted(per_index.items())}

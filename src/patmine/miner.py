@@ -112,20 +112,31 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     return tuple(out)
 
 
+def _occurrence_signature(g: LabeledGraph, subset: Iterable[int]) -> tuple:
+    """One round of colour refinement on the subgraph of ``g`` induced by
+    ``subset``: each vertex's (label, out-degree, in-degree) inside the
+    subset, extended by the sorted colours of its out- and in-neighbours
+    there. Isomorphic induced subgraphs get equal signatures."""
+    inside = set(subset)
+    out = {v: [w for w in g.out_adj[v] if w in inside] for v in inside}
+    inn = {v: [w for w in g.in_adj[v] if w in inside] for v in inside}
+    colour = {v: (g.labels[v], len(out[v]), len(inn[v])) for v in inside}.__getitem__
+    return tuple(sorted(
+        (colour(v), tuple(sorted(map(colour, out[v]))),
+         tuple(sorted(map(colour, inn[v]))))
+        for v in inside
+    ))
+
+
 @lru_cache(maxsize=32)
 def _subsets_by_signature(
     template: LabeledGraph, size: int
 ) -> dict[tuple, tuple[tuple[int, ...], ...]]:
-    """Connected k-subsets grouped by (sorted label multiset, induced edge
-    count), the invariants any isomorphic occurrence must share."""
+    """Connected k-subsets grouped by occurrence signature, an invariant
+    that any isomorphic occurrence must share."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for subset in _connected_ksubsets(template, size):
-        members = set(subset)
-        edge_count = sum(
-            1 for u in subset for w in template.out_adj[u] if w in members
-        )
-        sig = (tuple(sorted(template.labels[v] for v in subset)), edge_count)
-        groups.setdefault(sig, []).append(subset)
+        groups.setdefault(_occurrence_signature(template, subset), []).append(subset)
     return {sig: tuple(subs) for sig, subs in groups.items()}
 
 
@@ -274,7 +285,7 @@ def template_occurrences(
     """
     if pattern.n > template.n:
         return []
-    sig = (tuple(sorted(pattern.labels)), len(pattern.edges))
+    sig = _occurrence_signature(pattern, range(pattern.n))
     group = _subsets_by_signature(template, pattern.n).get(sig, ())
     return [
         subset

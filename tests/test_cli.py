@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import patmine
+import patmine.cli
+from patmine import Strategy
 from patmine.cli import main
 
 DEMO = "tests/fixtures/demo.graphs"
@@ -20,6 +23,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "patmine", *argv],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60,
+    )
+
+
+class TestNposFrac:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-0.1"])
+    @pytest.mark.parametrize("command", [
+        ["mine"],
+        ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern"],
+        ["encode", "--target", "asp"],
+    ], ids=["mine", "check", "encode"])
+    def test_out_of_range_exits_one_without_traceback(self, command, value):
+        # -0.1 would round up to N+ = 0; 1e308 overflows once there are 2 positives.
+        proc = run_process(*command, "--examples", DEMO, f"--npos-frac={value}")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: --npos-frac must be between 0 and 1, got {float(value)}\n"
+        )
 
 
 class TestMine:
@@ -244,6 +270,38 @@ class TestBench:
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "bench", "--synth", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--npos", "999"], "n_pos_threshold 999 exceeds the 1 positive example(s)"),
+        (["--nneg", "-1"], "thresholds must be non-negative"),
+        (["--min-size", "0"], "min_pattern_size must be >= 1"),
+        (["--max-patterns", "-1"], "max_patterns must be non-negative"),
+        (["--repeats", "0"], "--repeats must be >= 1"),
+    ], ids=["npos", "nneg", "min-size", "max-patterns", "repeats"])
+    def test_invalid_value_exits_one_without_traceback(self, flags, message):
+        proc = run_process("bench", "--synth", "demo", "--repeats", "1", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_strategies_emitting_different_patterns_exit_two(
+        self, capsys, monkeypatch
+    ):
+        # Same pattern count, different subsets: a count comparison passes.
+        real_mine = patmine.cli.mine
+
+        def skewed(dataset, config):
+            results = real_mine(dataset, config)
+            if config.strategy is Strategy.MONOLITHIC:
+                results[-1] = dataclasses.replace(results[-1], subset=results[0].subset)
+            return results
+
+        monkeypatch.setattr(patmine.cli, "mine", skewed)
+        code, _, err = run(
+            capsys, "bench", "--synth", "demo", "--npos", "1",
+            "--strategies", "both", "--repeats", "2", "--max-patterns", "3",
+        )
+        assert code == 2
+        assert err == "error: strategies disagree on the emitted patterns\n"
 
 
 class TestEncode:

@@ -143,6 +143,88 @@ class TestTemplateOccurrences:
         assert checked > 0
 
 
+def signature_templates():
+    """Seeded random templates: undirected and directed, with and without
+    self-loops, two labels, sparse to dense."""
+    rng = random.Random(71)
+    return [
+        random_graph(
+            rng, rng.randrange(5, 8), edge_prob=(0.3, 0.5, 0.8)[trial % 3],
+            undirected=trial % 2 == 0, loops=trial % 4 >= 2,
+        )
+        for trial in range(12)
+    ]
+
+
+SIGNATURE_TEMPLATES = signature_templates()
+
+
+class TestOccurrenceSignature:
+    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
+    def test_invariant_under_vertex_permutation(self, trial):
+        t = SIGNATURE_TEMPLATES[trial]
+        rng = random.Random(trial)
+        for k in range(1, 6):
+            for subset in patmine.miner._connected_ksubsets(t, k):
+                sub = induced_subgraph(t, subset)
+                perm = list(range(k))
+                rng.shuffle(perm)
+                labels = [""] * k
+                for v in range(k):
+                    labels[perm[v]] = sub.labels[v]
+                shuffled = build_graph(
+                    k, [(perm[u], perm[v]) for u, v in sub.edges], labels,
+                    t.undirected_input,
+                )
+                expected = patmine.miner._occurrence_signature(t, subset)
+                assert patmine.miner._occurrence_signature(sub, range(k)) == expected
+                assert patmine.miner._occurrence_signature(shuffled, range(k)) == expected
+
+    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
+    def test_isomorphic_subsets_share_a_group(self, trial):
+        t = SIGNATURE_TEMPLATES[trial]
+        pairs = 0
+        for k in range(1, 5):
+            group_of = {
+                subset: sig
+                for sig, group in patmine.miner._subsets_by_signature(t, k).items()
+                for subset in group
+            }
+            level = patmine.miner._connected_ksubsets(t, k)
+            for a, b in itertools.combinations(level, 2):
+                if bijection_isomorphic(induced_subgraph(t, a), induced_subgraph(t, b)):
+                    assert group_of[a] == group_of[b], (a, b)
+                    pairs += 1
+        assert pairs > 0
+
+    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
+    def test_groups_partition_the_level(self, trial):
+        t = SIGNATURE_TEMPLATES[trial]
+        for k in range(1, t.n + 1):
+            groups = patmine.miner._subsets_by_signature(t, k).values()
+            members = [subset for group in groups for subset in group]
+            assert sorted(members) == list(patmine.miner._connected_ksubsets(t, k))
+            assert all(list(group) == sorted(group) for group in groups)
+
+    def test_occurrence_scan_tests_only_isomorphic_subsets(self, monkeypatch):
+        # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
+        base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
+        ds = Dataset(template=base.template, examples=base.examples,
+                     n_pos_threshold=1, n_neg_threshold=0)
+        verdicts = []
+        real = patmine.miner.is_isomorphic
+
+        def counted(g1, g2):
+            verdicts.append(real(g1, g2))
+            return verdicts[-1]
+
+        monkeypatch.setattr(patmine.miner, "is_isomorphic", counted)
+        results = mine(ds, config(max_pattern_size=6))
+        assert len(results) == 222
+        assert len(verdicts) == 1384
+        assert all(verdicts)
+
+
 class TestEvaluateStrategy:
     @pytest.mark.parametrize("subset,expected", [
         (HEXCHORD_SUBSET, True),
