@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import statistics
@@ -241,11 +242,7 @@ def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
                 f"unknown preset {args.synth!r}; choose from "
                 f"{', '.join(sorted(PRESETS))} or demo"
             )
-        base = PRESETS[args.synth]
-        params = SynthParams(
-            base.n_graphs, base.vertex_range, base.target_avg_edges,
-            base.n_labels, base.positive_fraction, seed,
-        )
+        params = dataclasses.replace(PRESETS[args.synth], seed=seed)
         return gen_synthetic(params), args.synth, seed
     if not args.examples:
         raise CliError("either --synth or --examples is required")
@@ -334,10 +331,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         base = PRESETS.get(args.preset)
         if base is None:
             raise CliError(f"unknown preset {args.preset!r}")
-        params = SynthParams(
-            base.n_graphs, base.vertex_range, base.target_avg_edges,
-            base.n_labels, base.positive_fraction, seed,
-        )
+        params = dataclasses.replace(base, seed=seed)
     else:
         if args.vertex_range is None:
             raise CliError("--vertex-range is required without --preset")
@@ -452,10 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except GraphFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EmptyDataset as exc:
+    except (GraphFileError, EmptyDataset) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,22 +80,22 @@ class MineResult:
 def _connected_subsets_from(
     g: LabeledGraph, k: int, root: int
 ) -> list[tuple[int, ...]]:
-    """Connected k-subsets whose minimum vertex is ``root`` (ESU scheme)."""
+    """Connected k-subsets whose minimum vertex is ``root`` (ESU scheme), in
+    no particular order. Each stack entry is (subset, extension, seen); the stack
+    replaces recursion, so k is not bounded by the recursion limit."""
     adj = g.sym_adj
     out: list[tuple[int, ...]] = []
-
-    def extend(sub: tuple[int, ...], ext: list[int], seen: set[int]) -> None:
+    start_ext = [u for u in adj[root] if u > root]
+    stack = [((root,), start_ext, {root, *start_ext})]
+    while stack:
+        sub, ext, seen = stack.pop()
         if len(sub) == k:
             out.append(tuple(sorted(sub)))
-            return
-        ext = list(ext)
+            continue
         while ext:
             w = ext.pop()
             fresh = [u for u in adj[w] if u > root and u not in seen]
-            extend(sub + (w,), ext + fresh, seen | set(fresh))
-
-    start_ext = [u for u in adj[root] if u > root]
-    extend((root,), start_ext, {root, *start_ext})
+            stack.append((sub + (w,), ext + fresh, seen | set(fresh)))
     return out
 
 

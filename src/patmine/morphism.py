@@ -116,59 +116,14 @@ def _plan(
     return order, checks, candidates
 
 
-def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | None:
-    """First injective label/edge-preserving mapping, or None if none exists.
-
-    The search is complete: None means no homomorphism exists. The result is
-    deterministic: pattern vertices are tried in connectivity-first order
-    and target candidates in ascending id, so the first solution under that
-    order is returned.
-    """
-    plan = _plan(pattern, target)
-    if plan is None:
-        return None
-    order, checks, candidates = plan
-    np = pattern.n
-    assigned: list[int] = []
-    used = [False] * target.n
-    edges_t = target.edges
-
-    def extend(i: int) -> bool:
-        if i == np:
-            return True
-        for t in candidates[i]:
-            if used[t]:
-                continue
-            ok = True
-            for j, outgoing in checks[i]:
-                s = assigned[j]
-                if outgoing:
-                    if (t, s) not in edges_t:
-                        ok = False
-                        break
-                elif (s, t) not in edges_t:
-                    ok = False
-                    break
-            if ok:
-                used[t] = True
-                assigned.append(t)
-                if extend(i + 1):
-                    return True
-                assigned.pop()
-                used[t] = False
-        return False
-
-    if not extend(0):
-        return None
-    result = [0] * np
-    for i, v in enumerate(order):
-        result[v] = assigned[i]
-    return tuple(result)
-
-
 def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
-    """Yield every injective homomorphism, lazily, in find_homomorphism's
-    search order (the first yield equals find_homomorphism's result).
+    """Yield every injective homomorphism, lazily.
+
+    Pattern vertices are assigned in connectivity-first order and target
+    candidates are tried in ascending id, so mappings come out in that
+    search order. The search keeps its own stack (one candidate cursor per
+    position), so its depth is not bounded by the interpreter's recursion
+    limit. A pattern with no vertices has exactly one mapping, ``()``.
 
     This is the witness stream consumed by the monolithic strategy's
     chronological search, which resumes it to enumerate alternatives.
@@ -178,38 +133,48 @@ def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
         return
     order, checks, candidates = plan
     np = pattern.n
-    assigned: list[int] = []
-    used = [False] * target.n
     edges_t = target.edges
-
-    def extend(i: int):
+    used = [False] * target.n
+    assigned: list[int] = []  # target vertex of each position below i
+    cursors = [0] * np  # next candidate index to try at each position
+    i = 0
+    while i >= 0:
         if i == np:
             result = [0] * np
             for k, v in enumerate(order):
                 result[v] = assigned[k]
             yield tuple(result)
-            return
-        for t in candidates[i]:
+            i -= 1
+            continue
+        if len(assigned) > i:  # back from position i + 1: release position i
+            used[assigned.pop()] = False
+        cand, chk = candidates[i], checks[i]
+        for c in range(cursors[i], len(cand)):
+            t = cand[c]
             if used[t]:
                 continue
-            ok = True
-            for j, outgoing in checks[i]:
+            for j, outgoing in chk:
                 s = assigned[j]
-                if outgoing:
-                    if (t, s) not in edges_t:
-                        ok = False
-                        break
-                elif (s, t) not in edges_t:
-                    ok = False
+                if ((t, s) if outgoing else (s, t)) not in edges_t:
                     break
-            if ok:
+            else:
                 used[t] = True
                 assigned.append(t)
-                yield from extend(i + 1)
-                assigned.pop()
-                used[t] = False
+                cursors[i] = c + 1
+                i += 1
+                break
+        else:
+            cursors[i] = 0
+            i -= 1
 
-    yield from extend(0)
+
+def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | None:
+    """First injective label/edge-preserving mapping, or None if none exists.
+
+    The search is complete: None means no homomorphism exists. The result is
+    the first mapping :func:`iter_homomorphisms` yields.
+    """
+    return next(iter_homomorphisms(pattern, target), None)
 
 
 def is_homomorphism(pattern: LabeledGraph, target: LabeledGraph, m: Mapping) -> bool:
@@ -249,15 +214,10 @@ def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
     Between graphs with equal vertex and edge counts, an injective
     edge-preserving map is a bijection on vertices and on edges (self-loops
-    included), so one homomorphism search decides the question. The
-    degree-profile comparison is a fast rejection and never changes the
-    answer.
+    included), so the count checks and one homomorphism search decide the
+    question.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    prof1 = sorted((g1.labels[v], g1.out_degree[v], g1.in_degree[v]) for v in range(g1.n))
-    prof2 = sorted((g2.labels[v], g2.out_degree[v], g2.in_degree[v]) for v in range(g2.n))
-    if prof1 != prof2:
         return False
     return find_homomorphism(g1, g2) is not None
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: transitive closure by iteration,
 union-find connectivity, permutation-based bijection search, and exhaustive
 pattern enumeration with brute-force coverage. None of it shares code with
-the search paths it checks.
+the search paths it checks, except :func:`recursive_homomorphisms`, which
+walks the search kernel's own plan and so pins the order of its mappings.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from patmine import (
     build_graph,
     induced_subgraph,
 )
+from patmine.morphism import _plan
 
 
 def closure_reachable(g: LabeledGraph, x: int, y: int) -> bool:
@@ -117,3 +119,46 @@ def exhaustive_pattern_classes(
                 classes.append(g)
         out[size] = classes
     return out
+
+
+def recursive_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
+    """Every injective homomorphism, by plain recursion over the plan of
+    :func:`patmine.morphism.iter_homomorphisms`: the reference for the
+    kernel's mappings and their order (depth bounded by the recursion
+    limit)."""
+    plan = _plan(pattern, target)
+    if plan is None:
+        return
+    order, checks, candidates = plan
+    np = pattern.n
+    assigned: list[int] = []
+    used = [False] * target.n
+
+    def extend(i: int):
+        if i == np:
+            result = [0] * np
+            for k, v in enumerate(order):
+                result[v] = assigned[k]
+            yield tuple(result)
+            return
+        for t in candidates[i]:
+            if used[t]:
+                continue
+            ok = True
+            for j, outgoing in checks[i]:
+                s = assigned[j]
+                if outgoing:
+                    if (t, s) not in target.edges:
+                        ok = False
+                        break
+                elif (s, t) not in target.edges:
+                    ok = False
+                    break
+            if ok:
+                used[t] = True
+                assigned.append(t)
+                yield from extend(i + 1)
+                assigned.pop()
+                used[t] = False
+
+    yield from extend(0)

@@ -142,3 +142,24 @@ class TestInducedSubgraph:
                 (sub.orig_ids[u], sub.orig_ids[v]) for u, v in sub.edges
             }
             assert to_orig(inter) <= to_orig(big)
+
+    def test_matches_filtered_edge_list(self):
+        rng = random.Random(37)
+        for undirected in (True, False):
+            for loops in (False, True):
+                for _ in range(6):
+                    n = rng.randrange(1, 10)
+                    g = random_graph(
+                        rng, n, undirected=undirected, loops=loops,
+                        edge_prob=rng.uniform(0.1, 0.9),
+                    )
+                    for size in range(1, n + 1):
+                        subset = rng.sample(range(n), size)
+                        new_id = {v: i for i, v in enumerate(sorted(subset))}
+                        expected = {
+                            (new_id[u], new_id[v]) for u, v in g.edges
+                            if u in new_id and v in new_id
+                        }
+                        sub = induced_subgraph(g, subset)
+                        assert sub.edges == expected
+                        assert sub.labels == tuple(g.labels[v] for v in sorted(subset))

@@ -81,6 +81,13 @@ class TestCandidateSubsets:
         rest = list(stream)
         assert (0, 5) not in rest
 
+    def test_subsets_deeper_than_recursion_limit(self):
+        # ESU grows a subset one vertex per step, so k = 1100 is 1100 steps.
+        n = 1200
+        path = build_graph(n, [(i, i + 1) for i in range(n - 1)], ["a"] * n, True)
+        subsets = list(candidate_subsets(path, 1100))
+        assert subsets == [tuple(range(r, r + 1100)) for r in range(101)]
+
 
 class TestIsValidPattern:
     def test_hexchord_valid(self, template, dataset):

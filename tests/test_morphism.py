@@ -16,8 +16,9 @@ from patmine import (
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
+from patmine.morphism import iter_homomorphisms
 
-from oracles import bijection_isomorphic, random_graph
+from oracles import bijection_isomorphic, random_graph, recursive_homomorphisms
 
 
 def path_graph(n, label="a"):
@@ -167,8 +168,6 @@ class TestIsIsomorphic:
 
 class TestIterHomomorphisms:
     def test_first_yield_matches_find(self):
-        from patmine.morphism import iter_homomorphisms
-
         rng = random.Random(61)
         for _ in range(40):
             pattern = random_graph(rng, rng.randrange(1, 6))
@@ -177,14 +176,43 @@ class TestIterHomomorphisms:
             assert first == find_homomorphism(pattern, target)
 
     def test_enumerates_same_set_as_brute_force(self):
-        from patmine.morphism import iter_homomorphisms
-
         rng = random.Random(67)
         for _ in range(30):
             pattern = random_graph(rng, rng.randrange(1, 5))
             target = random_graph(rng, rng.randrange(1, 7))
             lazy = sorted(iter_homomorphisms(pattern, target))
             assert lazy == brute_force_homomorphisms(pattern, target)
+
+    def test_same_sequence_as_recursive_reference(self):
+        rng = random.Random(71)
+        for undirected in (True, False):
+            for loops in (False, True):
+                kind = dict(undirected=undirected, loops=loops)
+                several = 0
+                for _ in range(50):
+                    pattern = random_graph(rng, rng.randrange(1, 6), **kind)
+                    target = random_graph(rng, rng.randrange(1, 9), **kind)
+                    expected = list(recursive_homomorphisms(pattern, target))
+                    assert list(iter_homomorphisms(pattern, target)) == expected
+                    several += len(expected) > 1
+                assert several > 0
+
+    def test_empty_pattern_yields_one_empty_mapping(self):
+        empty = build_graph(0, [], [], True)
+        for target in (empty, path_graph(3)):
+            assert list(iter_homomorphisms(empty, target)) == [()]
+
+
+class TestDeepInputs:
+    """A 1,200-vertex path is deeper than the default recursion limit, so a
+    search that recursed once per pattern vertex would fail on it."""
+
+    def test_path_searches_return(self):
+        g = path_graph(1200)
+        m = find_homomorphism(g, g)
+        assert m is not None and is_homomorphism(g, g, m)
+        assert next(iter_homomorphisms(g, g)) == m
+        assert is_isomorphic(g, g)
 
 
 class TestOracleEquivalence:
