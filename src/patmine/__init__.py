@@ -27,23 +27,18 @@ from .graphs import (
 from .morphism import (
     CoverageReport,
     Mapping,
-    PatternTooLarge,
-    brute_force_homomorphisms,
     coverage,
     find_homomorphism,
-    is_homomorphism,
     is_isomorphic,
 )
 from .miner import (
     MineResult,
     MiningConfig,
-    NoGoodStore,
     Strategy,
     candidate_subsets,
     evaluate_strategy,
     is_valid_pattern,
     mine,
-    template_occurrences,
 )
 from .encoder import EmptyDataset, emit_asp, emit_idp
 from .dataio import (
@@ -69,15 +64,12 @@ __all__ = [
     "Mapping",
     "MineResult",
     "MiningConfig",
-    "NoGoodStore",
-    "PatternTooLarge",
     "Strategy",
     "SynthParams",
     "VertexNotInGraph",
     "CoverageReport",
     "build_dataset",
     "build_graph",
-    "brute_force_homomorphisms",
     "candidate_subsets",
     "coverage",
     "emit_asp",
@@ -87,14 +79,12 @@ __all__ = [
     "gen_synthetic",
     "induced_subgraph",
     "is_connected",
-    "is_homomorphism",
     "is_isomorphic",
     "is_valid_pattern",
     "mine",
     "parse_graphs",
     "parse_patterns",
     "reachable",
-    "template_occurrences",
     "write_bench_csv",
     "write_graphs",
     "write_patterns",

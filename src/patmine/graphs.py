@@ -13,9 +13,9 @@ Label = str
 
 class cached_property:
     """``functools.cached_property`` without its first-access lock (taken
-    before Python 3.12). Mining builds a fresh small graph per candidate and
-    per occurrence test; with functools, the first accesses were about a
-    third of the cost of building one with its adjacency and degree tables.
+    before Python 3.12). Mining builds a fresh small graph per candidate;
+    with functools, the first accesses were about a third of the cost of
+    building one with its adjacency and degree tables.
     """
 
     def __init__(self, func):
@@ -94,9 +94,6 @@ class LabeledGraph:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return (u, v) in self.edges
 
 
 class ExampleClass(Enum):

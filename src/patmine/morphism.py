@@ -7,18 +7,11 @@ Mappings are represented as tuples indexed by pattern vertex id.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, VertexId
 
 Mapping = tuple[VertexId, ...]
-
-BRUTE_FORCE_MAX_PATTERN = 8
-
-
-class PatternTooLarge(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -175,38 +168,6 @@ def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | 
     the first mapping :func:`iter_homomorphisms` yields.
     """
     return next(iter_homomorphisms(pattern, target), None)
-
-
-def is_homomorphism(pattern: LabeledGraph, target: LabeledGraph, m: Mapping) -> bool:
-    """Re-check that m is a total injective label/edge-preserving mapping."""
-    if len(m) != pattern.n or len(set(m)) != pattern.n:
-        return False
-    if any(not (0 <= t < target.n) for t in m):
-        return False
-    if any(pattern.labels[v] != target.labels[m[v]] for v in range(pattern.n)):
-        return False
-    return all((m[u], m[v]) in target.edges for u, v in pattern.edges)
-
-
-def brute_force_homomorphisms(
-    pattern: LabeledGraph, target: LabeledGraph
-) -> list[Mapping]:
-    """All injective homomorphisms, in lexicographic order of the mapping tuple.
-
-    Exhaustive enumeration over injective assignments; intended as the
-    independent oracle for :func:`find_homomorphism` at small sizes.
-    """
-    if pattern.n > BRUTE_FORCE_MAX_PATTERN:
-        raise PatternTooLarge(
-            f"pattern has {pattern.n} vertices, oracle limit is {BRUTE_FORCE_MAX_PATTERN}"
-        )
-    if pattern.n > target.n:
-        return []
-    out = []
-    for perm in itertools.permutations(range(target.n), pattern.n):
-        if is_homomorphism(pattern, target, perm):
-            out.append(perm)
-    return out
 
 
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:

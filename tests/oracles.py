@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to certify the implementation.
 
 Everything here is deliberately naive: transitive closure by iteration,
-union-find connectivity, permutation-based bijection search, and exhaustive
-pattern enumeration with brute-force coverage. None of it shares code with
-the search paths it checks, except :func:`recursive_homomorphisms`, which
-walks the search kernel's own plan and so pins the order of its mappings.
+union-find connectivity, permutation-based bijection and homomorphism
+search, and exhaustive pattern enumeration with brute-force coverage. None
+of it shares code with the search paths it checks, except
+:func:`recursive_homomorphisms`, which walks the search kernel's own plan
+and so pins the order of its mappings.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from patmine import (
-    Dataset,
-    LabeledGraph,
-    brute_force_homomorphisms,
-    build_graph,
-    induced_subgraph,
-)
+from patmine import Dataset, LabeledGraph, Mapping, build_graph, induced_subgraph
 from patmine.morphism import _plan
+
+BRUTE_FORCE_MAX_PATTERN = 8
+
+
+class PatternTooLarge(ValueError):
+    pass
 
 
 def closure_reachable(g: LabeledGraph, x: int, y: int) -> bool:
@@ -87,6 +88,38 @@ def random_graph(
                 edges.append((u, v))
     vlabels = [rng.choice(labels) for _ in range(n)]
     return build_graph(n, edges, vlabels, undirected=undirected)
+
+
+def is_homomorphism(pattern: LabeledGraph, target: LabeledGraph, m: Mapping) -> bool:
+    """Re-check that m is a total injective label/edge-preserving mapping."""
+    if len(m) != pattern.n or len(set(m)) != pattern.n:
+        return False
+    if any(not (0 <= t < target.n) for t in m):
+        return False
+    if any(pattern.labels[v] != target.labels[m[v]] for v in range(pattern.n)):
+        return False
+    return all((m[u], m[v]) in target.edges for u, v in pattern.edges)
+
+
+def brute_force_homomorphisms(
+    pattern: LabeledGraph, target: LabeledGraph
+) -> list[Mapping]:
+    """All injective homomorphisms, in lexicographic order of the mapping tuple.
+
+    Exhaustive enumeration over injective assignments; intended as the
+    independent oracle for :func:`find_homomorphism` at small sizes.
+    """
+    if pattern.n > BRUTE_FORCE_MAX_PATTERN:
+        raise PatternTooLarge(
+            f"pattern has {pattern.n} vertices, oracle limit is {BRUTE_FORCE_MAX_PATTERN}"
+        )
+    if pattern.n > target.n:
+        return []
+    out = []
+    for perm in itertools.permutations(range(target.n), pattern.n):
+        if is_homomorphism(pattern, target, perm):
+            out.append(perm)
+    return out
 
 
 def covered(pattern: LabeledGraph, examples) -> int:

@@ -14,7 +14,6 @@ from patmine import (
     Dataset,
     MiningConfig,
     Strategy,
-    brute_force_homomorphisms,
     build_dataset,
     build_graph,
     emit_asp,
@@ -36,7 +35,12 @@ from patmine.demo import (
     hexagon_with_chord,
 )
 
-from oracles import bijection_isomorphic, exhaustive_pattern_classes, random_graph
+from oracles import (
+    bijection_isomorphic,
+    brute_force_homomorphisms,
+    exhaustive_pattern_classes,
+    random_graph,
+)
 
 
 def report(name: str, started: float, budget_s: float) -> None:

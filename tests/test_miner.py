@@ -12,7 +12,6 @@ from patmine import (
     Example,
     ExampleClass,
     MiningConfig,
-    NoGoodStore,
     Strategy,
     build_graph,
     candidate_subsets,
@@ -22,7 +21,6 @@ from patmine import (
     is_isomorphic,
     is_valid_pattern,
     mine,
-    template_occurrences,
 )
 from patmine.dataio import SynthParams, gen_synthetic
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, demo_dataset
@@ -50,12 +48,6 @@ class TestCandidateSubsets:
     def test_singletons_are_connected(self, template):
         assert list(candidate_subsets(template, 1)) == [(v,) for v in range(8)]
 
-    def test_full_nogood_coverage_empties_stream(self, template):
-        nogoods = NoGoodStore()
-        for s in candidate_subsets(template, 2):
-            nogoods.add(s)
-        assert list(candidate_subsets(template, 2, nogoods)) == []
-
     def test_lexicographic_order(self, template):
         for size in (2, 3, 4, 5):
             subsets = list(candidate_subsets(template, size))
@@ -71,15 +63,6 @@ class TestCandidateSubsets:
         for subset in itertools.combinations(range(template.n), 4):
             expected = is_connected(induced_subgraph(template, subset))
             assert (subset in got) == expected
-
-    def test_nogoods_added_mid_iteration_take_effect(self, template):
-        nogoods = NoGoodStore()
-        stream = candidate_subsets(template, 2, nogoods)
-        first = next(stream)
-        assert first == (0, 1)
-        nogoods.add((0, 5))
-        rest = list(stream)
-        assert (0, 5) not in rest
 
     def test_subsets_deeper_than_recursion_limit(self):
         # ESU grows a subset one vertex per step, so k = 1100 is 1100 steps.
@@ -105,28 +88,53 @@ class TestIsValidPattern:
         assert ok
 
 
+def occurrences(monkeypatch, template, min_size=1, max_size=None):
+    """Mine ``template`` with vacuous thresholds, so every candidate is
+    valid, and map each emitted subset to its occurrences in the template:
+    itself, then the candidates blocked as isomorphic to it, in scan order."""
+    ds = Dataset(template=template, examples=(), n_pos_threshold=0,
+                 n_neg_threshold=0)
+    blocked: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    real = patmine.miner.is_isomorphic
+
+    def recorded(accepted, candidate):
+        same = real(accepted, candidate)
+        if same:
+            blocked.setdefault(accepted.orig_ids, []).append(candidate.orig_ids)
+        return same
+
+    monkeypatch.setattr(patmine.miner, "is_isomorphic", recorded)
+    results = mine(ds, config(n_pos=0, min_pattern_size=min_size,
+                              max_pattern_size=max_size))
+    monkeypatch.undo()
+    return {r.subset: [r.subset, *blocked.get(r.subset, [])] for r in results}
+
+
 class TestTemplateOccurrences:
-    def test_hexchord_occurs_once(self, template):
-        pattern = induced_subgraph(template, HEXCHORD_SUBSET)
-        assert template_occurrences(pattern, template) == [HEXCHORD_SUBSET]
+    def test_hexchord_occurs_once(self, monkeypatch, template):
+        occ = occurrences(monkeypatch, template, 6, 6)
+        assert occ[HEXCHORD_SUBSET] == [HEXCHORD_SUBSET]
 
-    def test_single_vertex_everywhere(self, template):
-        pattern = induced_subgraph(template, (0,))
-        assert template_occurrences(pattern, template) == [
-            (v,) for v in range(8)
-        ]
+    def test_single_vertex_everywhere(self, monkeypatch, template):
+        occ = occurrences(monkeypatch, template, 1, 1)
+        assert occ == {(0,): [(v,) for v in range(8)]}
 
-    def test_two_path_occurs_per_edge(self, template):
-        pattern = induced_subgraph(template, (6, 7))
-        assert len(template_occurrences(pattern, template)) == 9
+    def test_two_path_occurs_per_edge(self, monkeypatch, template):
+        occ = occurrences(monkeypatch, template, 2, 2)
+        assert list(occ.values()) == [list(candidate_subsets(template, 2))]
+        assert len(occ[(0, 1)]) == 9
 
-    def test_includes_own_subset(self, template):
-        pattern = induced_subgraph(template, TAILPATH_SUBSET)
-        assert TAILPATH_SUBSET in template_occurrences(pattern, template)
+    def test_includes_own_subset(self, monkeypatch, template):
+        k = len(TAILPATH_SUBSET)
+        occ = occurrences(monkeypatch, template, k, k)
+        owners = [s for s, group in occ.items() if TAILPATH_SUBSET in group]
+        assert len(owners) == 1
+        tailpath = induced_subgraph(template, TAILPATH_SUBSET)
+        assert bijection_isomorphic(induced_subgraph(template, owners[0]), tailpath)
 
-    def test_equals_brute_force_isomorphic_subsets(self):
-        # mine() relies on this to keep accepted patterns pairwise
-        # non-isomorphic within a size level.
+    def test_equals_brute_force_isomorphic_subsets(self, monkeypatch):
+        # Each level emits the lexicographically first subset of every
+        # isomorphism class, and blocks exactly the rest of the class.
         rng = random.Random(53)
         checked = 0
         for trial in range(24):
@@ -134,19 +142,22 @@ class TestTemplateOccurrences:
                 rng, rng.randrange(4, 8), edge_prob=0.5,
                 undirected=trial % 2 == 0, loops=trial % 4 >= 2,
             )
+            occ = occurrences(monkeypatch, t, 1, 4)
             for k in range(1, 5):
-                connected = [
-                    s for s in itertools.combinations(range(t.n), k)
-                    if unionfind_connected(induced_subgraph(t, s))
-                ]
-                for s in rng.sample(connected, min(3, len(connected))):
-                    pattern = induced_subgraph(t, s)
-                    expected = [
-                        c for c in connected
-                        if bijection_isomorphic(induced_subgraph(t, c), pattern)
-                    ]
-                    assert template_occurrences(pattern, t) == expected
-                    checked += len(expected) > 1
+                classes: list[list[tuple[int, ...]]] = []
+                for s in itertools.combinations(range(t.n), k):
+                    g = induced_subgraph(t, s)
+                    if not unionfind_connected(g):
+                        continue
+                    for cls in classes:
+                        if bijection_isomorphic(induced_subgraph(t, cls[0]), g):
+                            cls.append(s)
+                            break
+                    else:
+                        classes.append([s])
+                level = {s: group for s, group in occ.items() if len(s) == k}
+                assert level == {cls[0]: cls for cls in classes}
+                checked += sum(len(cls) > 1 for cls in classes)
         assert checked > 0
 
 
@@ -183,38 +194,41 @@ class TestOccurrenceSignature:
                     k, [(perm[u], perm[v]) for u, v in sub.edges], labels,
                     t.undirected_input,
                 )
-                expected = patmine.miner._occurrence_signature(t, subset)
-                assert patmine.miner._occurrence_signature(sub, range(k)) == expected
-                assert patmine.miner._occurrence_signature(shuffled, range(k)) == expected
+                sig = patmine.miner._signature
+                assert sig(shuffled) == sig(sub)
 
     @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
     def test_isomorphic_subsets_share_a_group(self, trial):
         t = SIGNATURE_TEMPLATES[trial]
         pairs = 0
         for k in range(1, 5):
-            group_of = {
-                subset: sig
-                for sig, group in patmine.miner._subsets_by_signature(t, k).items()
-                for subset in group
-            }
-            level = patmine.miner._connected_ksubsets(t, k)
+            level = [
+                induced_subgraph(t, s) for s in patmine.miner._connected_ksubsets(t, k)
+            ]
             for a, b in itertools.combinations(level, 2):
-                if bijection_isomorphic(induced_subgraph(t, a), induced_subgraph(t, b)):
-                    assert group_of[a] == group_of[b], (a, b)
+                if bijection_isomorphic(a, b):
+                    assert patmine.miner._signature(a) == patmine.miner._signature(b)
                     pairs += 1
         assert pairs > 0
 
     @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
-    def test_groups_partition_the_level(self, trial):
+    def test_groups_partition_the_level(self, monkeypatch, trial):
+        # An emitted subset and the candidates it blocks form one group;
+        # with every candidate valid, a level's groups partition it.
         t = SIGNATURE_TEMPLATES[trial]
+        occ = occurrences(monkeypatch, t)
         for k in range(1, t.n + 1):
-            groups = patmine.miner._subsets_by_signature(t, k).values()
+            groups = [group for s, group in occ.items() if len(s) == k]
             members = [subset for group in groups for subset in group]
             assert sorted(members) == list(patmine.miner._connected_ksubsets(t, k))
-            assert all(list(group) == sorted(group) for group in groups)
+            for group in groups:
+                assert group == sorted(group)
+                sigs = {patmine.miner._signature(induced_subgraph(t, s)) for s in group}
+                assert len(sigs) == 1
 
-    def test_occurrence_scan_tests_only_isomorphic_subsets(self, monkeypatch):
+    def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
+        # One is_isomorphic call per blocked candidate, none false.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
@@ -228,7 +242,7 @@ class TestOccurrenceSignature:
         monkeypatch.setattr(patmine.miner, "is_isomorphic", counted)
         results = mine(ds, config(max_pattern_size=6))
         assert len(results) == 222
-        assert len(verdicts) == 1384
+        assert len(verdicts) == 1162
         assert all(verdicts)
 
 
@@ -373,18 +387,22 @@ class TestMine:
 
 
 def unpruned_mine(dataset, config):
-    """Reference loop without superset pruning or the early stop: every
-    connected candidate of every size level is evaluated."""
+    """Reference loop without superset pruning, the early stop or signature
+    buckets: every connected candidate of every size level is evaluated
+    unless the permutation oracle finds it isomorphic to a pattern accepted
+    earlier at its level."""
     template = dataset.template
     top = min(template.n, config.max_pattern_size or template.n)
     out = []
     for size in range(config.min_pattern_size, top + 1):
-        nogoods: set[tuple[int, ...]] = set()
-        for subset in candidate_subsets(template, size, nogoods):
+        accepted = []
+        for subset in candidate_subsets(template, size):
             pattern = induced_subgraph(template, subset)
+            if any(bijection_isomorphic(p, pattern) for p in accepted):
+                continue
             if evaluate_strategy(pattern, dataset, config)[0]:
                 out.append(subset)
-                nogoods.update(template_occurrences(pattern, template))
+                accepted.append(pattern)
     return out
 
 
@@ -398,9 +416,9 @@ def recorded_mine(monkeypatch, dataset, cfg):
     real_candidates = patmine.miner.candidate_subsets
     real_induced = patmine.miner.induced_subgraph
 
-    def candidates(template, size, nogoods=None):
+    def candidates(template, size):
         levels.append(size)
-        for subset in real_candidates(template, size, nogoods):
+        for subset in real_candidates(template, size):
             yielded.add(subset)
             yield subset
 

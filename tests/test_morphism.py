@@ -6,19 +6,23 @@ import pytest
 
 from patmine import (
     ExampleClass,
-    PatternTooLarge,
-    brute_force_homomorphisms,
     build_graph,
     coverage,
     find_homomorphism,
     induced_subgraph,
-    is_homomorphism,
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
 from patmine.morphism import iter_homomorphisms
 
-from oracles import bijection_isomorphic, random_graph, recursive_homomorphisms
+from oracles import (
+    PatternTooLarge,
+    bijection_isomorphic,
+    brute_force_homomorphisms,
+    is_homomorphism,
+    random_graph,
+    recursive_homomorphisms,
+)
 
 
 def path_graph(n, label="a"):
