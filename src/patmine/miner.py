@@ -98,7 +98,8 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     (2 vCPUs, Python 3.11).
     """
     out: list[tuple[int, ...]] = []
-    for root in range(template.n):
+    # A subset's vertices are all >= its root, so later roots reach no k.
+    for root in range(template.n - size + 1):
         out.extend(sorted(_connected_subsets_from(template, size, root)))
     return tuple(out)
 
@@ -135,15 +136,27 @@ def is_valid_pattern(
     threshold. Returns (valid, positive_covered, negative_covered) with the
     counts actually established.
     """
+    return _evaluate_decomposed(pattern, dataset, config, set())
+
+
+def _evaluate_decomposed(
+    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig, misses: set[int]
+) -> tuple[bool, int, int]:
+    """:func:`is_valid_pattern` with known misses: both scans skip the
+    examples in ``misses``, and every example they miss is added to it."""
     pos_rep = coverage(
-        pattern, dataset, ExampleClass.POSITIVE, stop_at=config.n_pos_threshold
+        pattern, dataset, ExampleClass.POSITIVE,
+        stop_at=config.n_pos_threshold, known_misses=misses,
     )
+    misses.update(g for g, hit in pos_rep.per_example if hit is False)
     pos = pos_rep.positive_covered
     if pos < config.n_pos_threshold:
         return False, pos, 0
     neg_rep = coverage(
-        pattern, dataset, ExampleClass.NEGATIVE, stop_at=config.n_neg_threshold + 1
+        pattern, dataset, ExampleClass.NEGATIVE,
+        stop_at=config.n_neg_threshold + 1, known_misses=misses,
     )
+    misses.update(g for g, hit in neg_rep.per_example if hit is False)
     neg = neg_rep.negative_covered
     return neg <= config.n_neg_threshold, pos, neg
 
@@ -230,17 +243,24 @@ def _evaluate_monolithic(
 
 
 def evaluate_strategy(
-    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig
+    pattern: LabeledGraph,
+    dataset: Dataset,
+    config: MiningConfig,
+    misses: set[int] | None = None,
 ) -> tuple[bool, int, int]:
     """Dispatch the validity check to the configured strategy.
 
     Both strategies return identical verdicts; the established counts may
     differ (the decomposed check stops early, the monolithic one assigns
-    every example).
+    every example). ``misses`` holds graph ids of examples ``pattern`` is
+    known not to map into; the decomposed check skips them and adds the
+    examples it misses. The monolithic check, by design, ignores it.
     """
     if config.strategy is Strategy.MONOLITHIC:
         return _evaluate_monolithic(pattern, dataset, config)
-    return is_valid_pattern(pattern, dataset, config)
+    return _evaluate_decomposed(
+        pattern, dataset, config, set() if misses is None else misses
+    )
 
 
 def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
@@ -261,6 +281,14 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     and a level with no positive-frequent subset ends the run, since every
     connected (k+1)-subset contains a connected k-subset. Blocked subsets
     are isomorphic to accepted patterns, hence frequent, and never prune.
+
+    Each frequent subset keeps a miss set: the examples it was searched
+    against and missed, plus those it inherited. A candidate's decomposed
+    scans skip the union of its one-smaller sub-subsets' miss sets without
+    a search (they read False in ``per_example``); a blocked subset
+    inherits the set of the accepted pattern it is isomorphic to. Only the
+    previous level's sets are kept. Skipping a known miss never changes a
+    count.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -270,26 +298,34 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
     infrequent: set[tuple[int, ...]] = set()
+    missed: dict[tuple[int, ...], set[int]] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        accepted: dict[tuple, list[LabeledGraph]] = {}
+        accepted: dict[tuple, list[tuple[LabeledGraph, set[int]]]] = {}
         below, infrequent = infrequent, set()
+        missed_below, missed = missed, {}
         frequent_seen = False
         for subset in candidate_subsets(template, size):
-            if below and any(
-                subset[:i] + subset[i + 1 :] in below for i in range(size)
-            ):
+            subs = [subset[:i] + subset[i + 1 :] for i in range(size)]
+            if below and any(s in below for s in subs):
                 infrequent.add(subset)
                 continue
             pattern = induced_subgraph(template, subset)
             sig = _signature(pattern)
-            if any(is_isomorphic(p, pattern) for p in accepted.get(sig, ())):
+            inherited = next(
+                (m for p, m in accepted.get(sig, ()) if is_isomorphic(p, pattern)),
+                None,
+            )
+            if inherited is not None:
+                missed[subset] = inherited
                 continue
-            ok, pos, neg = evaluate_strategy(pattern, dataset, config)
+            misses = set().union(*(missed_below.get(s, ()) for s in subs))
+            ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
             if pos < config.n_pos_threshold:
                 infrequent.add(subset)
                 continue
             frequent_seen = True
+            missed[subset] = misses
             if not ok:
                 continue
             now = time.perf_counter()
@@ -304,7 +340,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 )
             )
             t_prev = now
-            accepted.setdefault(sig, []).append(pattern)
+            accepted.setdefault(sig, []).append((pattern, misses))
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
         if not frequent_seen:

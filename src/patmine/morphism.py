@@ -7,6 +7,7 @@ Mappings are represented as tuples indexed by pattern vertex id.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, VertexId
@@ -19,8 +20,8 @@ class CoverageReport:
     """Per-class coverage counts plus per-example verdicts.
 
     ``per_example`` holds (graph_id, has_homomorphism) pairs in graph_id
-    order for the queried class; examples skipped by an early stop carry
-    None instead of a boolean.
+    order for the queried class; examples skipped as known misses carry
+    False, and examples skipped by an early stop carry None.
     """
 
     positive_covered: int
@@ -188,25 +189,30 @@ def coverage(
     dataset: Dataset,
     cls: ExampleClass,
     stop_at: int | None = None,
+    known_misses: Container[int] = (),
 ) -> CoverageReport:
     """Count examples of ``cls`` admitting a homomorphism from ``pattern``.
 
     Examples are scanned serially in graph_id order, one
-    :func:`find_homomorphism` call each. With ``stop_at=k`` the scan stops
-    as soon as the covered count reaches k and the remaining examples are
-    reported as None (untested); ``stop_at=None`` tests all.
+    :func:`find_homomorphism` call each. Examples whose graph_id is in
+    ``known_misses`` (the caller knows ``pattern`` does not map into them)
+    are reported as False without a search. With ``stop_at=k`` the scan
+    stops as soon as the covered count reaches k and the remaining examples
+    are reported as None (untested); ``stop_at=None`` tests all.
     """
     if stop_at is not None and stop_at < 0:
         raise ValueError("stop_at must be non-negative")
     per_example: list[tuple[int, bool | None]] = []
     covered = 0
     for ex in dataset.of_class(cls):
-        if stop_at is not None and covered >= stop_at:
+        if ex.graph_id in known_misses:
+            per_example.append((ex.graph_id, False))
+        elif stop_at is not None and covered >= stop_at:
             per_example.append((ex.graph_id, None))
-            continue
-        hit = find_homomorphism(pattern, ex.graph) is not None
-        per_example.append((ex.graph_id, hit))
-        covered += int(hit)
+        else:
+            hit = find_homomorphism(pattern, ex.graph) is not None
+            per_example.append((ex.graph_id, hit))
+            covered += hit
 
     pos = covered if cls is ExampleClass.POSITIVE else 0
     neg = covered if cls is ExampleClass.NEGATIVE else 0

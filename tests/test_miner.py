@@ -26,7 +26,9 @@ from patmine.dataio import SynthParams, gen_synthetic
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, demo_dataset
 
 from oracles import (
+    BRUTE_FORCE_MAX_PATTERN,
     bijection_isomorphic,
+    brute_force_homomorphisms,
     exhaustive_pattern_classes,
     random_graph,
     unionfind_connected,
@@ -70,6 +72,21 @@ class TestCandidateSubsets:
         path = build_graph(n, [(i, i + 1) for i in range(n - 1)], ["a"] * n, True)
         subsets = list(candidate_subsets(path, 1100))
         assert subsets == [tuple(range(r, r + 1100)) for r in range(101)]
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_root_bound_equals_every_root(self, trial):
+        # Roots above n - k are not enumerated; they yield no k-subset.
+        rng = random.Random(90 + trial)
+        t = random_graph(
+            rng, rng.randrange(4, 9), edge_prob=(0.3, 0.6)[trial % 2],
+            undirected=trial % 2 == 0, loops=trial % 4 >= 2,
+        )
+        for k in range(1, t.n + 2):
+            every_root = [
+                s for root in range(t.n)
+                for s in sorted(patmine.miner._connected_subsets_from(t, k, root))
+            ]
+            assert list(candidate_subsets(t, k)) == every_root
 
 
 class TestIsValidPattern:
@@ -387,10 +404,11 @@ class TestMine:
 
 
 def unpruned_mine(dataset, config):
-    """Reference loop without superset pruning, the early stop or signature
-    buckets: every connected candidate of every size level is evaluated
-    unless the permutation oracle finds it isomorphic to a pattern accepted
-    earlier at its level."""
+    """Reference loop without superset pruning, the early stop, signature
+    buckets or known misses: every connected candidate of every size level
+    is evaluated unless the permutation oracle finds it isomorphic to a
+    pattern accepted earlier at its level. Returns (subset,
+    positive_covered, negative_covered) per emitted pattern."""
     template = dataset.template
     top = min(template.n, config.max_pattern_size or template.n)
     out = []
@@ -400,8 +418,9 @@ def unpruned_mine(dataset, config):
             pattern = induced_subgraph(template, subset)
             if any(bijection_isomorphic(p, pattern) for p in accepted):
                 continue
-            if evaluate_strategy(pattern, dataset, config)[0]:
-                out.append(subset)
+            ok, pos, neg = evaluate_strategy(pattern, dataset, config)
+            if ok:
+                out.append((subset, pos, neg))
                 accepted.append(pattern)
     return out
 
@@ -441,7 +460,9 @@ class TestPruning:
         ds = PRUNING_INSTANCES[instance]
         cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
                            max_pattern_size=max_size, strategy=strategy)
-        assert [r.subset for r in mine(ds, cfg)] == unpruned_mine(ds, cfg)
+        got = [(r.subset, r.positive_covered, r.negative_covered)
+               for r in mine(ds, cfg)]
+        assert got == unpruned_mine(ds, cfg)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_skipped_subsets_are_positive_infrequent(self, monkeypatch, strategy):
@@ -478,7 +499,79 @@ class TestPruning:
             results, levels, _, _ = recorded_mine(monkeypatch, ds, cfg)
             assert levels == [2, 3, 4]
             assert [r.subset for r in results] == [(0, 1), (0, 1, 2)]
-            assert [r.subset for r in results] == unpruned_mine(ds, cfg)
+            assert [r.subset for r in results] == [
+                s for s, _, _ in unpruned_mine(ds, cfg)
+            ]
+
+
+def skipped_searches(monkeypatch, dataset, cfg):
+    """Run mine() recording, per coverage scan, each (subset, example)
+    pair it skipped as a known miss."""
+    skipped = []
+    real = patmine.miner.coverage
+
+    def recorded(pattern, ds, cls, stop_at=None, known_misses=()):
+        skipped.extend(
+            (pattern.orig_ids, ex) for ex in ds.of_class(cls)
+            if ex.graph_id in known_misses
+        )
+        return real(pattern, ds, cls, stop_at, known_misses)
+
+    monkeypatch.setattr(patmine.miner, "coverage", recorded)
+    mine(dataset, cfg)
+    monkeypatch.undo()
+    return skipped
+
+
+def search_counting_instance():
+    base = gen_synthetic(SynthParams(30, (15, 25), 23, 9, 0.8, 0))
+    return Dataset(template=base.template, examples=base.examples,
+                   n_pos_threshold=2, n_neg_threshold=1)
+
+
+class TestKnownMisses:
+    @pytest.mark.parametrize("max_size", [None, 4])
+    def test_skipped_examples_have_no_homomorphism(self, monkeypatch, max_size):
+        total = 0
+        for ds in PRUNING_INSTANCES:
+            assert ds.template.n <= BRUTE_FORCE_MAX_PATTERN
+            cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
+                               max_pattern_size=max_size)
+            pairs = skipped_searches(monkeypatch, ds, cfg)
+            for subset, ex in pairs:
+                pattern = induced_subgraph(ds.template, subset)
+                assert brute_force_homomorphisms(pattern, ex.graph) == [], (
+                    subset, ex.graph_id)
+            total += len(pairs)
+        assert total > 0
+
+    def test_skipped_examples_read_false(self, monkeypatch, template, dataset):
+        pattern = induced_subgraph(template, HEXCHORD_SUBSET)
+        searched = coverage(pattern, dataset, ExampleClass.NEGATIVE)
+        assert searched.per_example == ((1, False),)
+        monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
+        skipped = coverage(pattern, dataset, ExampleClass.NEGATIVE,
+                           known_misses={1})
+        assert skipped == searched
+
+    def test_search_counts(self, monkeypatch):
+        # Pinned figures: a change that widens or narrows the skip moves
+        # the decomposed count (1,282 searches without known misses); the
+        # monolithic stream count does not depend on them.
+        ds = search_counting_instance()
+        finds, streams = [], []
+        real_find = patmine.morphism.find_homomorphism
+        real_iter = patmine.miner.iter_homomorphisms
+        monkeypatch.setattr(patmine.morphism, "find_homomorphism",
+                            lambda p, t: finds.append(1) or real_find(p, t))
+        monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
+                            lambda p, t: streams.append(1) or real_iter(p, t))
+        dec = mine(ds, config(2, 1, max_pattern_size=5))
+        assert (len(dec), len(finds), len(streams)) == (23, 796, 0)
+        mono = mine(ds, config(2, 1, max_pattern_size=5,
+                               strategy=Strategy.MONOLITHIC))
+        assert [r.subset for r in mono] == [r.subset for r in dec]
+        assert len(streams) == 2122
 
 
 class TestMiningConfig:
