@@ -64,6 +64,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", code=2)
+    except UnicodeDecodeError as exc:
+        # Bytes that are not UTF-8 text are a parse error, not an I/O one.
+        raise CliError(f"cannot read {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:

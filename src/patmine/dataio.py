@@ -20,6 +20,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from ._rng import SplitMix64
 from .graphs import (
@@ -68,9 +69,37 @@ class InfeasibleEdgeTarget(ValueError):
 class _Block:
     block_id: int
     tag: str
-    start_line: int
     labels: list[str]
     edges: list[tuple[int, int, int]]  # (src, dst, line)
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each line that is not blank or a
+    '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def _vertex(fields: list[str], lineno: int) -> tuple[int, str]:
+    """(vid, interned label) of a ``v <vid> <label>`` line."""
+    if len(fields) != 3:
+        raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
+    try:
+        return int(fields[1]), sys.intern(fields[2])
+    except ValueError:
+        raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+
+
+def _edge(fields: list[str], lineno: int) -> tuple[int, int]:
+    """(src, dst) of an ``e <src> <dst>`` line."""
+    if len(fields) != 3:
+        raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
+    try:
+        return int(fields[1]), int(fields[2])
+    except ValueError:
+        raise GraphSyntaxError("non-integer edge endpoint", lineno)
 
 
 def _finish_block(block: _Block, undirected: bool) -> tuple[int, str, LabeledGraph]:
@@ -93,11 +122,7 @@ def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
     seen_ids: set[int] = set()
     current: _Block | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if undirected is None:
             if fields[0] != "mode" or len(fields) != 2 or fields[1] not in (
                 "directed",
@@ -124,32 +149,22 @@ def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
             if block_id in seen_ids:
                 raise DuplicateBlockId(f"duplicate block id {block_id}", lineno)
             seen_ids.add(block_id)
-            current = _Block(block_id, tag, lineno, [], [])
+            current = _Block(block_id, tag, [], [])
         elif kind == "v":
             if current is None:
                 raise GraphSyntaxError("vertex line outside a block", lineno)
-            if len(fields) != 3:
-                raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
-            try:
-                vid = int(fields[1])
-            except ValueError:
-                raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+            vid, label = _vertex(fields, lineno)
             if vid != len(current.labels):
                 raise NonDenseVertexIds(
                     f"vertex id {vid} breaks dense 0..n-1 numbering "
                     f"(expected {len(current.labels)})",
                     lineno,
                 )
-            current.labels.append(sys.intern(fields[2]))
+            current.labels.append(label)
         elif kind == "e":
             if current is None:
                 raise GraphSyntaxError("edge line outside a block", lineno)
-            if len(fields) != 3:
-                raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
-            try:
-                src, dst = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphSyntaxError("non-integer edge endpoint", lineno)
+            src, dst = _edge(fields, lineno)
             current.edges.append((src, dst, lineno))
         else:
             raise GraphSyntaxError(f"unrecognized line kind {kind!r}", lineno)
@@ -280,11 +295,7 @@ def parse_patterns(text: str) -> list[PatternBlock]:
             )
         header, vertices, edges = None, {}, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if fields[0] == "p":
             finish()
             header_line = lineno
@@ -304,24 +315,14 @@ def parse_patterns(text: str) -> list[PatternBlock]:
         elif fields[0] == "v":
             if header is None:
                 raise GraphSyntaxError("vertex line outside a pattern block", lineno)
-            if len(fields) != 3:
-                raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
-            try:
-                vid = int(fields[1])
-            except ValueError:
-                raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+            vid, label = _vertex(fields, lineno)
             if vid in vertices:
                 raise GraphSyntaxError(f"duplicate vertex id {vid}", lineno)
-            vertices[vid] = sys.intern(fields[2])
+            vertices[vid] = label
         elif fields[0] == "e":
             if header is None:
                 raise GraphSyntaxError("edge line outside a pattern block", lineno)
-            if len(fields) != 3:
-                raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
-            try:
-                edges.append((int(fields[1]), int(fields[2])))
-            except ValueError:
-                raise GraphSyntaxError("non-integer edge endpoint", lineno)
+            edges.append(_edge(fields, lineno))
         else:
             raise GraphSyntaxError(f"unrecognized line kind {fields[0]!r}", lineno)
     finish()

@@ -10,7 +10,7 @@ each isomorphism class it accepts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
@@ -136,45 +136,30 @@ def is_valid_pattern(
     threshold. Returns (valid, positive_covered, negative_covered) with the
     counts actually established.
     """
-    return _evaluate_decomposed(pattern, dataset, config, set())
-
-
-def _evaluate_decomposed(
-    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig, misses: set[int]
-) -> tuple[bool, int, int]:
-    """:func:`is_valid_pattern` with known misses: both scans skip the
-    examples in ``misses``, and every example they miss is added to it."""
-    pos_rep = coverage(
-        pattern, dataset, ExampleClass.POSITIVE,
-        stop_at=config.n_pos_threshold, known_misses=misses,
+    return evaluate_strategy(
+        pattern, dataset, replace(config, strategy=Strategy.DECOMPOSED)
     )
-    misses.update(g for g, hit in pos_rep.per_example if hit is False)
-    pos = pos_rep.positive_covered
-    if pos < config.n_pos_threshold:
-        return False, pos, 0
-    neg_rep = coverage(
-        pattern, dataset, ExampleClass.NEGATIVE,
-        stop_at=config.n_neg_threshold + 1, known_misses=misses,
-    )
-    misses.update(g for g, hit in neg_rep.per_example if hit is False)
-    neg = neg_rep.negative_covered
-    return neg <= config.n_neg_threshold, pos, neg
 
 
-@dataclass
-class _Frame:
-    """Chronological state of one example's (homowith_g, f_g) block."""
+def _count_decomposed(
+    pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
+    misses: set[int],
+) -> int:
+    """Examples of ``cls`` covered, one independent search each, stopping
+    once the count reaches ``threshold``. Examples in ``misses`` are
+    skipped without a search, and every example missed is added to it."""
+    rep = coverage(pattern, dataset, cls, stop_at=threshold, known_misses=misses)
+    misses.update(g for g, hit in rep.per_example if hit is False)
+    return rep.positive_covered + rep.negative_covered
 
-    witnesses: Iterator[tuple[int, ...]]
-    homowith: bool
-    mapping: tuple[int, ...] | None
 
-
-def _chronological_search(
-    pattern: LabeledGraph, targets: list[LabeledGraph], threshold: int
-) -> tuple[bool, int]:
+def _count_monolithic(
+    pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
+    misses: set[int],
+) -> int:
     """Complete chronological backtracking over the concatenated vector
-    [homowith_g, f_g-assignments] with examples in graph-id order.
+    [homowith_g, f_g-assignments] of the examples of ``cls``, in graph-id
+    order; ``misses`` is ignored by design.
 
     homowith_g is decided true before false; the true branch materializes a
     homomorphism witness from the example's lazily enumerated stream, and a
@@ -183,63 +168,35 @@ def _chronological_search(
     cardinality bound (a prefix whose remaining examples cannot reach the
     threshold is abandoned), so no per-example independence is exploited
     and no early stop occurs: a model is a complete assignment of every
-    example. Returns (model_found, count_established).
+    example. Returns the count of the model found, or the largest count a
+    prefix reached when there is none. Once the count reaches the threshold
+    the bound never fires again, so a model exists iff the result reaches it.
     """
+    targets = [ex.graph for ex in dataset.of_class(cls)]
     m = len(targets)
-    frames: list[_Frame] = []
-    t = 0
-    max_t = 0
+    # One witness stream per decided example; None is homowith_g = false.
+    stack: list[Iterator[tuple[int, ...]] | None] = []
+    t = max_t = 0
     while True:
-        depth = len(frames)
+        depth = len(stack)
         if t + (m - depth) < threshold:
-            moved = False
-            while frames:
-                frame = frames[-1]
-                if frame.homowith:
-                    alt = next(frame.witnesses, None)
-                    if alt is not None:
-                        frame.mapping = alt
-                        moved = True
-                        break
-                    frame.homowith = False
-                    frame.mapping = None
-                    t -= 1
-                    moved = True
-                    break
-                frames.pop()
-            if not moved:
-                return False, max_t
+            while stack and stack[-1] is None:
+                stack.pop()
+            if not stack:
+                return max_t
+            if next(stack[-1], None) is None:
+                stack[-1] = None
+                t -= 1
             continue
         if depth == m:
-            return True, t
+            return t
         witnesses = iter_homomorphisms(pattern, targets[depth])
-        first = next(witnesses, None)
-        if first is not None:
-            frames.append(_Frame(witnesses, True, first))
+        if next(witnesses, None) is None:
+            stack.append(None)
+        else:
+            stack.append(witnesses)
             t += 1
             max_t = max(max_t, t)
-        else:
-            frames.append(_Frame(witnesses, False, None))
-
-
-def _evaluate_monolithic(
-    pattern: LabeledGraph, dataset: Dataset, config: MiningConfig
-) -> tuple[bool, int, int]:
-    """Two-phase check over a single combined variable space.
-
-    The positive phase searches for an assignment covering at least
-    n_pos_threshold positives; the dual phase then tries to exhibit more
-    than n_neg_threshold negative homomorphisms and rejects on success.
-    """
-    found, pos = _chronological_search(
-        pattern, [ex.graph for ex in dataset.positives()], config.n_pos_threshold
-    )
-    if not found:
-        return False, pos, 0
-    exceeded, neg = _chronological_search(
-        pattern, [ex.graph for ex in dataset.negatives()], config.n_neg_threshold + 1
-    )
-    return not exceeded, pos, neg
 
 
 def evaluate_strategy(
@@ -248,19 +205,31 @@ def evaluate_strategy(
     config: MiningConfig,
     misses: set[int] | None = None,
 ) -> tuple[bool, int, int]:
-    """Dispatch the validity check to the configured strategy.
+    """Two-phase validity check under the configured strategy.
 
-    Both strategies return identical verdicts; the established counts may
-    differ (the decomposed check stops early, the monolithic one assigns
-    every example). ``misses`` holds graph ids of examples ``pattern`` is
-    known not to map into; the decomposed check skips them and adds the
-    examples it misses. The monolithic check, by design, ignores it.
+    The positive phase counts covered positives against n_pos_threshold;
+    only if that is reached does the negative phase count covered
+    negatives against n_neg_threshold + 1, rejecting when it is reached.
+    The strategies differ only in how one class is counted, and return
+    identical verdicts; the established counts may differ (the decomposed
+    count stops early, the monolithic one assigns every example).
+    ``misses`` holds graph ids of examples ``pattern`` is known not to map
+    into; the decomposed count skips them and adds the examples it misses.
+    The monolithic count, by design, ignores it.
     """
-    if config.strategy is Strategy.MONOLITHIC:
-        return _evaluate_monolithic(pattern, dataset, config)
-    return _evaluate_decomposed(
-        pattern, dataset, config, set() if misses is None else misses
+    count = (
+        _count_monolithic if config.strategy is Strategy.MONOLITHIC
+        else _count_decomposed
     )
+    if misses is None:
+        misses = set()
+    pos = count(pattern, dataset, ExampleClass.POSITIVE, config.n_pos_threshold, misses)
+    if pos < config.n_pos_threshold:
+        return False, pos, 0
+    neg = count(
+        pattern, dataset, ExampleClass.NEGATIVE, config.n_neg_threshold + 1, misses
+    )
+    return neg <= config.n_neg_threshold, pos, neg
 
 
 def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
@@ -276,18 +245,17 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     inputs; only the elapsed_ms fields vary between runs.
 
     Positive coverage is anti-monotone: a pattern maps into every example
-    that one of its supersets maps into. So a candidate with a one-smaller
-    sub-subset that failed N+ (or was itself pruned) is pruned unevaluated,
-    and a level with no positive-frequent subset ends the run, since every
-    connected (k+1)-subset contains a connected k-subset. Blocked subsets
-    are isomorphic to accepted patterns, hence frequent, and never prune.
-
-    Each frequent subset keeps a miss set: the examples it was searched
-    against and missed, plus those it inherited. A candidate's decomposed
-    scans skip the union of its one-smaller sub-subsets' miss sets without
-    a search (they read False in ``per_example``); a blocked subset
-    inherits the set of the accepted pattern it is isomorphic to. Only the
-    previous level's sets are kept. Skipping a known miss never changes a
+    that one of its supersets maps into. Each level records one entry per
+    candidate: None if it failed N+ or was pruned, else its miss set, the
+    examples it was searched against and missed plus those it inherited. A
+    candidate with a one-smaller sub-subset recorded None is pruned
+    unevaluated, and a level recording only None ends the run, since every
+    connected (k+1)-subset contains a connected k-subset. A blocked subset
+    is isomorphic to an accepted pattern, hence frequent, and records that
+    pattern's miss set. An evaluated candidate starts from the union of its
+    one-smaller sub-subsets' miss sets, which the decomposed counts skip
+    without a search (they read False in ``per_example``). Only the
+    previous level's record is kept. Skipping a known miss never changes a
     count.
     """
     results: list[MineResult] = []
@@ -297,18 +265,15 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     top = template.n
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
-    infrequent: set[tuple[int, ...]] = set()
-    missed: dict[tuple[int, ...], set[int]] = {}
+    level: dict[tuple[int, ...], set[int] | None] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         accepted: dict[tuple, list[tuple[LabeledGraph, set[int]]]] = {}
-        below, infrequent = infrequent, set()
-        missed_below, missed = missed, {}
-        frequent_seen = False
+        below, level = level, {}
         for subset in candidate_subsets(template, size):
-            subs = [subset[:i] + subset[i + 1 :] for i in range(size)]
-            if below and any(s in below for s in subs):
-                infrequent.add(subset)
+            known = [below.get(subset[:i] + subset[i + 1 :], ()) for i in range(size)]
+            if None in known:
+                level[subset] = None
                 continue
             pattern = induced_subgraph(template, subset)
             sig = _signature(pattern)
@@ -317,15 +282,11 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 None,
             )
             if inherited is not None:
-                missed[subset] = inherited
+                level[subset] = inherited
                 continue
-            misses = set().union(*(missed_below.get(s, ()) for s in subs))
+            misses = set().union(*known)
             ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
-            if pos < config.n_pos_threshold:
-                infrequent.add(subset)
-                continue
-            frequent_seen = True
-            missed[subset] = misses
+            level[subset] = misses if pos >= config.n_pos_threshold else None
             if not ok:
                 continue
             now = time.perf_counter()
@@ -343,6 +304,6 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
             accepted.setdefault(sig, []).append((pattern, misses))
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
-        if not frequent_seen:
+        if all(m is None for m in level.values()):
             break
     return results

@@ -391,3 +391,17 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == f"patmine {patmine.__version__}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--examples", "{bad}"],
+        ["check", "--pattern", "{bad}", "--examples", DEMO],
+        ["encode", "--target", "asp", "--examples", "{bad}"],
+    ], ids=["mine", "check", "encode"])
+    def test_undecodable_input_exits_one(self, tmp_path, argv):
+        bad = tmp_path / "bad.graphs"
+        bad.write_bytes(b"\xff\xfemode directed\n")
+        proc = run_process(*(a.format(bad=bad) for a in argv))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+        assert proc.stderr.count("\n") == 1

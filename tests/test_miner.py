@@ -288,6 +288,50 @@ class TestEvaluateStrategy:
         mono = evaluate_strategy(pattern, one, config(strategy=Strategy.MONOLITHIC))
         assert dec == mono == (True, 1, 0)
 
+    @pytest.mark.parametrize("instance", range(20))
+    def test_established_counts(self, instance):
+        # Pinned (valid, pos, neg) of both strategies for every connected
+        # subset of size 1-4, N+ in 0..P and N- in 0..2, from the full-scan
+        # coverage counts C+/C- and per-example hits.
+        ds = (desk_scale_instances() + small_instances())[instance]
+        n_positives = len(ds.positives())
+        checked = 0
+        for size in range(1, 5):
+            for subset in candidate_subsets(ds.template, size):
+                pattern = induced_subgraph(ds.template, subset)
+                pos_hits = [h for _, h in coverage(
+                    pattern, ds, ExampleClass.POSITIVE).per_example]
+                neg_hits = [h for _, h in coverage(
+                    pattern, ds, ExampleClass.NEGATIVE).per_example]
+                cp, cn = sum(pos_hits), sum(neg_hits)
+                for n_pos in range(n_positives + 1):
+                    for n_neg in range(3):
+                        ok = cp >= n_pos and cn <= n_neg
+                        dec = evaluate_strategy(pattern, ds, config(n_pos, n_neg))
+                        assert dec == (ok, min(cp, n_pos),
+                                       0 if cp < n_pos else min(cn, n_neg + 1))
+                        mono_pos = chronological_count(pos_hits, n_pos)
+                        mono_neg = (chronological_count(neg_hits, n_neg + 1)
+                                    if mono_pos >= n_pos else 0)
+                        mono = evaluate_strategy(pattern, ds, config(
+                            n_pos, n_neg, strategy=Strategy.MONOLITHIC))
+                        assert mono == (ok, mono_pos, mono_neg)
+                        checked += 1
+        assert checked > 0
+
+
+def chronological_count(hits, threshold):
+    """Count the monolithic search establishes for one class with these
+    per-example hits: the hits before the first depth d where hits so far
+    plus the m - d examples left cannot reach ``threshold``, or all hits if
+    there is no such depth."""
+    t = 0
+    for d, hit in enumerate(hits):
+        if t + (len(hits) - d) < threshold:
+            return t
+        t += hit
+    return t
+
 
 def small_instances():
     """Seeded desk-scale instances: template <= 8 vertices, <= 6 examples."""
