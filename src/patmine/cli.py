@@ -168,11 +168,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         _write(args.out, write_patterns(results))
     if args.csv:
         tag = Path(args.examples).name
-        rows = [
-            ("decomposed" if config.strategy is Strategy.DECOMPOSED else "monolithic",
-             r.index, r.elapsed_ms, tag, 0)
-            for r in results
-        ]
+        rows = [(config.strategy.value, r.index, r.elapsed_ms, tag, 0) for r in results]
         _write(args.csv, write_bench_csv(rows))
     return 0
 
@@ -239,14 +235,22 @@ def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
     if args.synth:
         seed = _effective_seed(args.seed)
         if args.synth == "demo":
-            return demo_dataset(), "demo", seed
-        if args.synth not in PRESETS:
+            dataset = demo_dataset()
+        elif args.synth in PRESETS:
+            dataset = gen_synthetic(dataclasses.replace(PRESETS[args.synth], seed=seed))
+        else:
             raise CliError(
                 f"unknown preset {args.synth!r}; choose from "
                 f"{', '.join(sorted(PRESETS))} or demo"
             )
-        params = dataclasses.replace(PRESETS[args.synth], seed=seed)
-        return gen_synthetic(params), args.synth, seed
+        npos = dataset.n_pos_threshold if args.npos is None else args.npos
+        try:
+            dataset = dataclasses.replace(
+                dataset, n_pos_threshold=npos, n_neg_threshold=args.nneg
+            )
+        except ValueError as exc:
+            raise CliError(str(exc))
+        return dataset, args.synth, seed
     if not args.examples:
         raise CliError("either --synth or --examples is required")
     return _load_dataset(args), Path(args.examples).name, _effective_seed(args.seed)
@@ -256,18 +260,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise CliError("--repeats must be >= 1")
     dataset, tag, seed = _bench_dataset(args)
-    if args.npos is not None or args.nneg != 0:
-        try:
-            dataset = Dataset(
-                template=dataset.template,
-                examples=dataset.examples,
-                n_pos_threshold=(
-                    args.npos if args.npos is not None else dataset.n_pos_threshold
-                ),
-                n_neg_threshold=args.nneg,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
     strategies = {
         "both": [Strategy.DECOMPOSED, Strategy.MONOLITHIC],
         "decomposed": [Strategy.DECOMPOSED],

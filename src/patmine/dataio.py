@@ -65,14 +65,6 @@ class InfeasibleEdgeTarget(ValueError):
     pass
 
 
-@dataclass
-class _Block:
-    block_id: int
-    tag: str
-    labels: list[str]
-    edges: list[tuple[int, int, int]]  # (src, dst, line)
-
-
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each line that is not blank or a
     '#' comment."""
@@ -82,95 +74,109 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.split()
 
 
-def _vertex(fields: list[str], lineno: int) -> tuple[int, str]:
-    """(vid, interned label) of a ``v <vid> <label>`` line."""
-    if len(fields) != 3:
-        raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
-    try:
-        return int(fields[1]), sys.intern(fields[2])
-    except ValueError:
-        raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+def _blocks(
+    records: Iterator[tuple[int, list[str]]], head: str, where: str
+) -> Iterator[tuple[int, list[str], list[tuple[int, list[str]]]]]:
+    """(header line, header fields, body records) of each block; a block
+    starts at each record of kind ``head``. A record before the first header
+    is an error, reported as outside ``where``."""
+    block = None
+    for lineno, fields in records:
+        if fields[0] == head:
+            if block is not None:
+                yield block
+            block = (lineno, fields, [])
+        elif block is not None:
+            block[2].append((lineno, fields))
+        elif fields[0] in ("v", "e"):
+            kind = "vertex" if fields[0] == "v" else "edge"
+            raise GraphSyntaxError(f"{kind} line outside {where}", lineno)
+        else:
+            raise GraphSyntaxError(f"unrecognized line kind {fields[0]!r}", lineno)
+    if block is not None:
+        yield block
 
 
-def _edge(fields: list[str], lineno: int) -> tuple[int, int]:
-    """(src, dst) of an ``e <src> <dst>`` line."""
-    if len(fields) != 3:
-        raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
-    try:
-        return int(fields[1]), int(fields[2])
-    except ValueError:
-        raise GraphSyntaxError("non-integer edge endpoint", lineno)
-
-
-def _finish_block(block: _Block, undirected: bool) -> tuple[int, str, LabeledGraph]:
-    n = len(block.labels)
-    for src, dst, line in block.edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise GraphSyntaxError(
-                f"edge ({src}, {dst}) outside vertex range 0..{n - 1}", line
-            )
-    graph = build_graph(
-        n, [(s, d) for s, d, _ in block.edges], block.labels, undirected
-    )
-    return block.block_id, block.tag, graph
+def _body(
+    body: list[tuple[int, list[str]]], dense: bool
+) -> tuple[dict[int, str], list[tuple[int, int, int]]]:
+    """Vertices {vid: interned label} and edges [(src, dst, line)] of the
+    ``v <vid> <label>`` and ``e <src> <dst>`` lines of a block, read in file
+    order. Vertex ids must be distinct, and with ``dense`` must also run
+    0, 1, 2, ... in file order."""
+    vertices: dict[int, str] = {}
+    edges: list[tuple[int, int, int]] = []
+    for lineno, fields in body:
+        kind = fields[0]
+        if kind == "v":
+            if len(fields) != 3:
+                raise GraphSyntaxError("expected 'v <vid> <label>'", lineno)
+            try:
+                vid = int(fields[1])
+            except ValueError:
+                raise GraphSyntaxError(f"non-integer vertex id {fields[1]!r}", lineno)
+            if dense and vid != len(vertices):
+                raise NonDenseVertexIds(
+                    f"vertex id {vid} breaks dense 0..n-1 numbering "
+                    f"(expected {len(vertices)})",
+                    lineno,
+                )
+            if vid in vertices:
+                raise GraphSyntaxError(f"duplicate vertex id {vid}", lineno)
+            vertices[vid] = sys.intern(fields[2])
+        elif kind == "e":
+            if len(fields) != 3:
+                raise GraphSyntaxError("expected 'e <src> <dst>'", lineno)
+            try:
+                src, dst = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise GraphSyntaxError("non-integer edge endpoint", lineno)
+            edges.append((src, dst, lineno))
+        else:
+            raise GraphSyntaxError(f"unrecognized line kind {kind!r}", lineno)
+    return vertices, edges
 
 
 def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
     """Parse a graph file into (block_id, class_tag, graph) triples."""
-    undirected: bool | None = None
+    records = _records(text)
+    first = next(records, None)
+    if first is None:
+        return []
+    lineno, fields = first
+    if fields[0] != "mode" or len(fields) != 2 or fields[1] not in (
+        "directed",
+        "undirected",
+    ):
+        raise GraphSyntaxError("expected header 'mode directed|undirected'", lineno)
+    undirected = fields[1] == "undirected"
+
     blocks: list[tuple[int, str, LabeledGraph]] = []
     seen_ids: set[int] = set()
-    current: _Block | None = None
-
-    for lineno, fields in _records(text):
-        if undirected is None:
-            if fields[0] != "mode" or len(fields) != 2 or fields[1] not in (
-                "directed",
-                "undirected",
-            ):
+    for lineno, fields, body in _blocks(records, "t", "a block"):
+        if len(fields) != 4 or fields[1] != "#":
+            raise GraphSyntaxError("expected 't # <id> <class>'", lineno)
+        try:
+            block_id = int(fields[2])
+        except ValueError:
+            raise GraphSyntaxError(f"non-integer block id {fields[2]!r}", lineno)
+        tag = fields[3]
+        if tag not in CLASS_TAGS:
+            raise UnknownClassTag(f"unknown class tag {tag!r}", lineno)
+        if block_id in seen_ids:
+            raise DuplicateBlockId(f"duplicate block id {block_id}", lineno)
+        seen_ids.add(block_id)
+        vertices, edges = _body(body, dense=True)
+        n = len(vertices)
+        for src, dst, line in edges:
+            if not (0 <= src < n and 0 <= dst < n):
                 raise GraphSyntaxError(
-                    "expected header 'mode directed|undirected'", lineno
+                    f"edge ({src}, {dst}) outside vertex range 0..{n - 1}", line
                 )
-            undirected = fields[1] == "undirected"
-            continue
-        kind = fields[0]
-        if kind == "t":
-            if current is not None:
-                blocks.append(_finish_block(current, undirected))
-            if len(fields) != 4 or fields[1] != "#":
-                raise GraphSyntaxError("expected 't # <id> <class>'", lineno)
-            try:
-                block_id = int(fields[2])
-            except ValueError:
-                raise GraphSyntaxError(f"non-integer block id {fields[2]!r}", lineno)
-            tag = fields[3]
-            if tag not in CLASS_TAGS:
-                raise UnknownClassTag(f"unknown class tag {tag!r}", lineno)
-            if block_id in seen_ids:
-                raise DuplicateBlockId(f"duplicate block id {block_id}", lineno)
-            seen_ids.add(block_id)
-            current = _Block(block_id, tag, [], [])
-        elif kind == "v":
-            if current is None:
-                raise GraphSyntaxError("vertex line outside a block", lineno)
-            vid, label = _vertex(fields, lineno)
-            if vid != len(current.labels):
-                raise NonDenseVertexIds(
-                    f"vertex id {vid} breaks dense 0..n-1 numbering "
-                    f"(expected {len(current.labels)})",
-                    lineno,
-                )
-            current.labels.append(label)
-        elif kind == "e":
-            if current is None:
-                raise GraphSyntaxError("edge line outside a block", lineno)
-            src, dst = _edge(fields, lineno)
-            current.edges.append((src, dst, lineno))
-        else:
-            raise GraphSyntaxError(f"unrecognized line kind {kind!r}", lineno)
-
-    if current is not None:
-        blocks.append(_finish_block(current, undirected))
+        graph = build_graph(
+            n, [(s, d) for s, d, _ in edges], vertices.values(), undirected
+        )
+        blocks.append((block_id, tag, graph))
     return blocks
 
 
@@ -265,67 +271,34 @@ class PatternBlock:
 def parse_patterns(text: str) -> list[PatternBlock]:
     """Read back a write_patterns file (original template ids preserved)."""
     out: list[PatternBlock] = []
-    header: dict | None = None
-    header_line = 0
-    vertices: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-
-    def finish() -> None:
-        nonlocal header, vertices, edges
-        if header is not None:
-            if not vertices:
-                raise GraphSyntaxError("pattern block has no vertex lines", header_line)
-            if header["size"] != len(vertices):
-                raise GraphSyntaxError(
-                    f"size={header['size']} but the block has "
-                    f"{len(vertices)} vertices",
-                    header_line,
-                )
-            out.append(
-                PatternBlock(
-                    index=header["index"],
-                    size=header["size"],
-                    pos=header["pos"],
-                    neg=header["neg"],
-                    time_ms=header["time_ms"],
-                    subset=tuple(sorted(vertices)),
-                    labels=dict(vertices),
-                    edges=tuple(edges),
-                )
+    for lineno, fields, body in _blocks(_records(text), "p", "a pattern block"):
+        if len(fields) != 7 or fields[1] != "#":
+            raise GraphSyntaxError("malformed pattern header", lineno)
+        try:
+            kv = dict(f.split("=", 1) for f in fields[3:])
+            index, size = int(fields[2]), int(kv["size"])
+            pos, neg, time_ms = int(kv["pos"]), int(kv["neg"]), float(kv["time_ms"])
+        except (KeyError, ValueError):
+            raise GraphSyntaxError("malformed pattern header", lineno)
+        vertices, edges = _body(body, dense=False)
+        if not vertices:
+            raise GraphSyntaxError("pattern block has no vertex lines", lineno)
+        if size != len(vertices):
+            raise GraphSyntaxError(
+                f"size={size} but the block has {len(vertices)} vertices", lineno
             )
-        header, vertices, edges = None, {}, []
-
-    for lineno, fields in _records(text):
-        if fields[0] == "p":
-            finish()
-            header_line = lineno
-            if len(fields) != 7 or fields[1] != "#":
-                raise GraphSyntaxError("malformed pattern header", lineno)
-            try:
-                kv = dict(f.split("=", 1) for f in fields[3:])
-                header = {
-                    "index": int(fields[2]),
-                    "size": int(kv["size"]),
-                    "pos": int(kv["pos"]),
-                    "neg": int(kv["neg"]),
-                    "time_ms": float(kv["time_ms"]),
-                }
-            except (KeyError, ValueError):
-                raise GraphSyntaxError("malformed pattern header", lineno)
-        elif fields[0] == "v":
-            if header is None:
-                raise GraphSyntaxError("vertex line outside a pattern block", lineno)
-            vid, label = _vertex(fields, lineno)
-            if vid in vertices:
-                raise GraphSyntaxError(f"duplicate vertex id {vid}", lineno)
-            vertices[vid] = label
-        elif fields[0] == "e":
-            if header is None:
-                raise GraphSyntaxError("edge line outside a pattern block", lineno)
-            edges.append(_edge(fields, lineno))
-        else:
-            raise GraphSyntaxError(f"unrecognized line kind {fields[0]!r}", lineno)
-    finish()
+        out.append(
+            PatternBlock(
+                index=index,
+                size=size,
+                pos=pos,
+                neg=neg,
+                time_ms=time_ms,
+                subset=tuple(sorted(vertices)),
+                labels=vertices,
+                edges=tuple((s, d) for s, d, _ in edges),
+            )
+        )
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from . import __version__
-from .graphs import Dataset, ExampleClass, LabeledGraph
+from .graphs import Dataset, ExampleClass
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
@@ -34,10 +34,6 @@ def _label_atom(label: str, universe: tuple[str, ...]) -> str:
     if _ATOM_RE.fullmatch(label):
         return label
     return f"lbl{universe.index(label)}"
-
-
-def _sorted_edges(g: LabeledGraph) -> list[tuple[int, int]]:
-    return sorted(g.edges)
 
 
 def _instance_summary(dataset: Dataset) -> str:
@@ -70,13 +66,13 @@ def emit_asp(dataset: Dataset) -> str:
     ]
 
     facts: list[tuple[str, tuple, str]] = []
-    for u, v in _sorted_edges(template):
+    for u, v in sorted(template.edges):
         facts.append(("t_edge", (u, v), f"t_edge(x{u},x{v})."))
     for v in template.vertices():
         facts.append(("t_label", (v,), f"t_label(x{v},{lab(template.labels[v])})."))
     for ex in dataset.examples:
         g = ex.graph
-        for u, v in _sorted_edges(g):
+        for u, v in sorted(g.edges):
             facts.append(("edge", (ex.graph_id, u, v), f"edge(g{ex.graph_id},v{u},v{v})."))
         for v in g.vertices():
             facts.append(
@@ -239,7 +235,7 @@ def emit_idp(dataset: Dataset) -> str:
     lines.append(f"    graphid = {{{gids}}}")
     lines.append("    label = {" + "; ".join(lab(s) for s in universe) + "}")
 
-    t_edges = "; ".join(f"{u},{v}" for u, v in _sorted_edges(template))
+    t_edges = "; ".join(f"{u},{v}" for u, v in sorted(template.edges))
     lines.append(f"    template_edge = {{{t_edges}}}")
     t_labels = "; ".join(f"{v}->{lab(template.labels[v])}" for v in template.vertices())
     lines.append(f"    template_label = {{{t_labels}}}")
@@ -247,7 +243,7 @@ def emit_idp(dataset: Dataset) -> str:
     ex_edges = "; ".join(
         f"{ex.graph_id},{u},{v}"
         for ex in dataset.examples
-        for u, v in _sorted_edges(ex.graph)
+        for u, v in sorted(ex.graph.edges)
     )
     lines.append(f"    example_edge = {{{ex_edges}}}")
     ex_labels = "; ".join(

@@ -29,61 +29,23 @@ class CoverageReport:
     per_example: tuple[tuple[int, bool | None], ...]
 
 
-def _search_order(pattern: LabeledGraph) -> list[int]:
-    """Connectivity-first vertex order: max-degree start, then BFS.
-
-    Ties break toward the smaller vertex id; repeated per component.
-    """
-    n = pattern.n
-    visited: list[bool] = [False] * n
-    order: list[int] = []
-    deg = [len(pattern.sym_adj[v]) for v in range(n)]
-    while len(order) < n:
-        start = max(
-            (v for v in range(n) if not visited[v]),
-            key=lambda v: (deg[v], -v),
-        )
-        visited[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in pattern.sym_adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    queue.append(w)
-    return order
-
-
-def _checks_against_earlier(
-    pattern: LabeledGraph, order: list[int]
-) -> list[list[tuple[int, bool]]]:
-    """For each position i, the pattern edges linking order[i] to order[<i].
-
-    Entries are (earlier_position, outgoing) where outgoing means the edge
-    runs order[i] -> order[j].
-    """
-    pos_of = {v: i for i, v in enumerate(order)}
-    checks: list[list[tuple[int, bool]]] = [[] for _ in order]
-    for u, v in pattern.edges:
-        iu, iv = pos_of[u], pos_of[v]
-        if iu > iv:
-            checks[iu].append((iv, True))
-        elif iv > iu:
-            checks[iv].append((iu, False))
-        # Self-loops (iu == iv) are handled via candidate filtering below.
-    return checks
-
-
 def _plan(
     pattern: LabeledGraph, target: LabeledGraph
 ) -> tuple[list[int], list[list[tuple[int, bool]]], list[list[int]]] | None:
     """Search order, back-edge checks and per-position target candidates.
 
-    Candidates for a pattern vertex share its label, have at least its in-
-    and out-degree, and carry a self-loop where it does. Returns None when
-    no injective mapping can exist: the pattern is larger than the target
-    or some pattern vertex has no candidate.
+    The order is connectivity-first: it starts at a vertex of maximum degree
+    (distinct neighbours in the symmetric closure; a self-loop makes a
+    vertex its own neighbour), ties broken toward the smaller id, and
+    extends breadth-first, visiting each vertex's neighbours in ascending
+    id; each further component starts the same way among the vertices not
+    yet placed. ``checks[i]`` lists the pattern edges between
+    ``order[i]`` and earlier positions as (earlier_position, outgoing), where
+    outgoing means the edge runs order[i] -> order[j]. Candidates for a
+    pattern vertex share its label, have at least its in- and out-degree, and
+    carry a self-loop where it does. Returns None when no injective mapping
+    can exist: the pattern is larger than the target or some pattern vertex
+    has no candidate.
     """
     if pattern.n > target.n:
         return None
@@ -91,15 +53,33 @@ def _plan(
     for t in range(target.n):
         by_label.setdefault(target.labels[t], []).append(t)
 
-    order = _search_order(pattern)
-    checks = _checks_against_earlier(pattern, order)
+    n, sym_adj, out_adj, in_adj = (
+        pattern.n, pattern.sym_adj, pattern.out_adj, pattern.in_adj
+    )
+    roots = iter(sorted(range(n), key=lambda v: (-len(sym_adj[v]), v)))
+    pos = [n] * n  # position in the order; n while not yet placed
+    order: list[int] = []  # doubles as the BFS queue: order[i:] is pending
+    checks: list[list[tuple[int, bool]]] = []
     candidates: list[list[int]] = []
-    for v in order:
-        lab = pattern.labels[v]
+    for i in range(n):
+        if i == len(order):  # the component is done: start the next one
+            root = next(v for v in roots if pos[v] == n)
+            pos[root] = i
+            order.append(root)
+        v = order[i]
+        for w in sym_adj[v]:
+            if pos[w] == n:
+                pos[w] = len(order)
+                order.append(w)
+        # Earlier positions only; a self-loop is a candidate condition.
+        checks.append(
+            [(pos[w], True) for w in out_adj[v] if pos[w] < i]
+            + [(pos[w], False) for w in in_adj[v] if pos[w] < i]
+        )
         self_loop = (v, v) in pattern.edges
         cand = [
             t
-            for t in by_label.get(lab, [])
+            for t in by_label.get(pattern.labels[v], [])
             if target.out_degree[t] >= pattern.out_degree[v]
             and target.in_degree[t] >= pattern.in_degree[v]
             and (not self_loop or (t, t) in target.edges)

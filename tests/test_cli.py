@@ -267,6 +267,22 @@ class TestBench:
         assert len(dec) == len(mono) == 3
         assert all(r[4] == "7" for r in rows)
 
+    def test_examples_file(self, capsys, tmp_path):
+        csv_file = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--examples", DEMO, "--npos", "1", "--repeats", "1",
+            "--csv", str(csv_file),
+        )
+        assert (code, err) == (0, "")
+        assert "n_pos>=1" in out and "speedup" in out
+        rows = list(csv.reader(io.StringIO(csv_file.read_text())))[1:]
+        assert {(r[0], r[3]) for r in rows} == {
+            ("decomposed", "demo.graphs"), ("monolithic", "demo.graphs"),
+        }
+        code, _, err = run(capsys, "bench", "--examples", DEMO, "--npos", "999")
+        message = "n_pos_threshold 999 exceeds the 1 positive example(s)"
+        assert (code, err) == (1, f"error: {message}\n")
+
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "bench", "--synth", "nope")
         assert code == 1

@@ -79,6 +79,24 @@ class TestParseGraphs:
         assert blocks[0][0] == 3
         assert blocks[0][2].edges == frozenset({(0, 0)})
 
+    @pytest.mark.parametrize(
+        ("body", "error", "line"),
+        [
+            ("t # 0 pos\nv 0 a\nv 2 a\nv 1 a\ne 0\n", NonDenseVertexIds, 4),
+            ("t # 0 pos\nv 0 a\ne 0 5\nv 1\n", GraphSyntaxError, 5),
+            ("t # 0 pos\nv 0 a\ne 0 5\nt # 0 neg\n", GraphSyntaxError, 4),
+            ("v 0 a\nt # x pos\n", GraphSyntaxError, 2),
+        ],
+        ids=["dense-before-later-edge", "later-vertex-before-edge-range",
+             "edge-range-before-next-header", "outside-block-before-header"],
+    )
+    def test_first_error_wins(self, body, error, line):
+        """Lines are checked in file order, except that edge endpoints are
+        range-checked when their block ends."""
+        with pytest.raises(error) as err:
+            parse_graphs("mode undirected\n" + body)
+        assert type(err.value) is error and err.value.line == line
+
     def test_directed_mode_preserves_orientation(self):
         text = "mode directed\nt # 0 pos\nv 0 a\nv 1 a\ne 0 1\n"
         g = parse_graphs(text)[0][2]

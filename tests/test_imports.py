@@ -1,6 +1,9 @@
-"""The package has no runtime dependencies (``dependencies = []`` in
-pyproject.toml): every absolute import in ``src/patmine`` names a standard
-library module or the package itself."""
+"""Static checks over ``src/patmine``.
+
+The package has no runtime dependencies (``dependencies = []`` in
+pyproject.toml): every absolute import names a standard library module or
+the package itself. No function calls itself by name, so no input can
+exhaust the interpreter's recursion limit through direct recursion."""
 
 from __future__ import annotations
 
@@ -37,3 +40,29 @@ def test_imports_are_stdlib_or_patmine(path):
         if name != "patmine" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def self_calls(path: Path) -> list[str]:
+    """Functions in ``path`` whose body calls them by their own name, as
+    ``name(...)`` or, in a method, ``self.name(...)`` / ``cls.name(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == node.name) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == node.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+            ):
+                found.append(f"{node.name} (line {call.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(path) == []

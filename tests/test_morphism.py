@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -13,7 +14,7 @@ from patmine import (
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
-from patmine.morphism import iter_homomorphisms
+from patmine.morphism import _plan, iter_homomorphisms
 
 from oracles import (
     PatternTooLarge,
@@ -22,6 +23,7 @@ from oracles import (
     is_homomorphism,
     random_graph,
     recursive_homomorphisms,
+    unionfind_connected,
 )
 
 
@@ -205,6 +207,83 @@ class TestIterHomomorphisms:
         empty = build_graph(0, [], [], True)
         for target in (empty, path_graph(3)):
             assert list(iter_homomorphisms(empty, target)) == [()]
+
+
+class TestPlan:
+    """``_plan`` against the rule its docstring states, computed here from
+    the raw edge set. The recursive reference walks ``_plan`` itself, so only
+    this test sees a change of the order."""
+
+    @staticmethod
+    def reference_plan(pattern, target):
+        if pattern.n > target.n:
+            return None
+        n, edges = pattern.n, pattern.edges
+        nbrs = [
+            sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+            for v in range(n)
+        ]
+        unplaced = set(range(n))
+        order = []
+        while unplaced:
+            start = min(unplaced, key=lambda v: (-len(nbrs[v]), v))
+            unplaced.discard(start)
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                order.append(v)
+                for w in nbrs[v]:
+                    if w in unplaced:
+                        unplaced.discard(w)
+                        queue.append(w)
+        pos = {v: i for i, v in enumerate(order)}
+        checks = [set() for _ in order]
+        for a, b in edges:
+            if pos[a] > pos[b]:
+                checks[pos[a]].add((pos[b], True))
+            elif pos[b] > pos[a]:
+                checks[pos[b]].add((pos[a], False))
+
+        def out_in(g, v):
+            return sum(a == v for a, _ in g.edges), sum(b == v for _, b in g.edges)
+
+        candidates = [
+            [
+                t for t in range(target.n)
+                if target.labels[t] == pattern.labels[v]
+                and all(x >= y for x, y in zip(out_in(target, t), out_in(pattern, v)))
+                and ((v, v) not in edges or (t, t) in target.edges)
+            ]
+            for v in order
+        ]
+        if not all(candidates):
+            return None
+        return order, checks, candidates
+
+    def test_matches_documented_rule(self):
+        rng = random.Random(79)
+        planned = disconnected = start_ties = 0
+        for undirected in (True, False):
+            for loops in (False, True):
+                kind = dict(undirected=undirected, loops=loops)
+                for _ in range(60):
+                    pattern = random_graph(rng, rng.randrange(1, 8), **kind)
+                    other = random_graph(rng, rng.randrange(1, 10), **kind)
+                    for target in (pattern, other):
+                        expected = self.reference_plan(pattern, target)
+                        plan = _plan(pattern, target)
+                        if expected is None:
+                            assert plan is None
+                            continue
+                        (order, checks, candidates), want = plan, expected
+                        assert order == want[0]
+                        assert list(map(sorted, checks)) == list(map(sorted, want[1]))
+                        assert candidates == want[2]
+                        planned += 1
+                    degree = [len(a) for a in pattern.sym_adj]
+                    disconnected += not unionfind_connected(pattern)
+                    start_ties += degree.count(max(degree, default=0)) > 1
+        assert planned > 300 and disconnected > 20 and start_ties > 50
 
 
 class TestDeepInputs:
