@@ -92,6 +92,12 @@ class LabeledGraph:
     def in_degree(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.in_adj)
 
+    @cached_property
+    def label_pairs(self) -> frozenset[tuple[Label, Label]]:
+        """(source label, target label) of every edge."""
+        labels = self.labels
+        return frozenset((labels[u], labels[v]) for u, v in self.edges)
+
     def vertices(self) -> range:
         return range(self.n)
 

@@ -20,8 +20,9 @@ class CoverageReport:
     """Per-class coverage counts plus per-example verdicts.
 
     ``per_example`` holds (graph_id, has_homomorphism) pairs in graph_id
-    order for the queried class; examples skipped as known misses carry
-    False, and examples skipped by an early stop carry None.
+    order for the queried class; examples skipped as known misses or
+    decided by edge labels carry False, and examples skipped by an early
+    stop carry None.
     """
 
     positive_covered: int
@@ -178,7 +179,11 @@ def coverage(
     ``known_misses`` (the caller knows ``pattern`` does not map into them)
     are reported as False without a search. With ``stop_at=k`` the scan
     stops as soon as the covered count reaches k and the remaining examples
-    are reported as None (untested); ``stop_at=None`` tests all.
+    are reported as None (untested); ``stop_at=None`` tests all. An example
+    still to be tested that lacks one of the pattern's directed edge-label
+    pairs (:attr:`LabeledGraph.label_pairs`) is a miss, since a
+    homomorphism maps each edge onto an edge with the same two labels: it
+    is reported as False without a search.
     """
     if stop_at is not None and stop_at < 0:
         raise ValueError("stop_at must be non-negative")
@@ -189,6 +194,8 @@ def coverage(
             per_example.append((ex.graph_id, False))
         elif stop_at is not None and covered >= stop_at:
             per_example.append((ex.graph_id, None))
+        elif not pattern.label_pairs <= ex.graph.label_pairs:
+            per_example.append((ex.graph_id, False))
         else:
             hit = find_homomorphism(pattern, ex.graph) is not None
             per_example.append((ex.graph_id, hit))

@@ -227,6 +227,76 @@ class TestCheck:
         assert "valid" not in proc.stdout
 
 
+    @pytest.mark.parametrize(("name", "code", "expected"), [
+        ("hexchord", 0, "pattern 1: subset=[0, 1, 2, 3, 4, 5]\n"
+         "  example 0 (pos): homomorphism yes\n"
+         "  example 1 (neg): homomorphism no\n"
+         "  valid: pos=1>=1 neg=0<=0\n"),
+        ("tailpath", 1, "pattern 1: subset=[3, 6, 7]\n"
+         "  example 0 (pos): homomorphism yes\n"
+         "  example 1 (neg): homomorphism yes\n"
+         "invalid: negative coverage 1 > 0\n"),
+        ("notinduced", 1, "pattern 1: subset=[0, 1, 2]\n"
+         "invalid: not induced (edge set differs from the induced subgraph)\n"),
+    ], ids=["hexchord", "tailpath", "notinduced"])
+    def test_demo_output(self, capsys, name, code, expected):
+        got = run(capsys, "check", "--pattern",
+                  f"tests/fixtures/candidate_{name}.pattern",
+                  "--examples", DEMO, "--npos", "1", "--nneg", "0")
+        assert got == (code, expected, "")
+
+
+class TestIOErrors:
+    """Every unreadable input and unwritable output exits 2 with one
+    ``error: cannot read|write <path>: ...`` line and leaves no file behind."""
+
+    @staticmethod
+    def bad_path(tmp_path, kind):
+        if kind == "directory":
+            (tmp_path / "dir").mkdir()
+            return tmp_path / "dir"
+        return tmp_path / "missing" / "file"
+
+    @staticmethod
+    def assert_io_error(proc, verb, path):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot {verb} {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--examples", "{bad}"],
+        ["mine", "--examples", DEMO, "--template", "{bad}"],
+        ["check", "--pattern", "{bad}", "--examples", DEMO],
+        ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern",
+         "--examples", "{bad}"],
+        ["encode", "--target", "asp", "--examples", "{bad}"],
+    ], ids=["mine-examples", "mine-template", "check-pattern", "check-examples",
+            "encode-examples"])
+    def test_unreadable_input(self, tmp_path, argv, kind):
+        bad = self.bad_path(tmp_path, kind)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_process(*(a.format(bad=bad) for a in argv))
+        self.assert_io_error(proc, "read", bad)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--examples", DEMO, "--max-size", "3", "--out", "{bad}"],
+        ["mine", "--examples", DEMO, "--max-size", "3", "--csv", "{bad}"],
+        ["encode", "--target", "asp", "--examples", DEMO, "--out", "{bad}"],
+        ["gen", "--n-graphs", "3", "--vertex-range", "4", "6", "--avg-edges", "4",
+         "--out", "{bad}"],
+    ], ids=["mine-out", "mine-csv", "encode-out", "gen-out"])
+    def test_unwritable_output(self, tmp_path, argv, kind):
+        bad = self.bad_path(tmp_path, kind)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_process(*(a.format(bad=bad) for a in argv))
+        self.assert_io_error(proc, "write", bad)
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestBench:
     def test_demo_repeats_one_row_accounting(self, capsys, tmp_path):
         csv_file = tmp_path / "bench.csv"

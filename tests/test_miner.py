@@ -11,6 +11,7 @@ from patmine import (
     Dataset,
     Example,
     ExampleClass,
+    LabeledGraph,
     MiningConfig,
     Strategy,
     build_graph,
@@ -549,19 +550,29 @@ class TestPruning:
 
 
 def skipped_searches(monkeypatch, dataset, cfg):
-    """Run mine() recording, per coverage scan, each (subset, example)
-    pair it skipped as a known miss."""
-    skipped = []
-    real = patmine.miner.coverage
+    """Run mine() recording, per coverage scan, each (subset, example,
+    known) triple for an example read as a miss without a search: a known
+    miss (known is True) or one the edge-label test rejects."""
+    skipped, searched = [], []
+    real_coverage = patmine.miner.coverage
+    real_find = patmine.morphism.find_homomorphism
+
+    def find(pattern, target):
+        searched.append(target)
+        return real_find(pattern, target)
 
     def recorded(pattern, ds, cls, stop_at=None, known_misses=()):
+        searched.clear()
+        rep = real_coverage(pattern, ds, cls, stop_at, known_misses)
         skipped.extend(
-            (pattern.orig_ids, ex) for ex in ds.of_class(cls)
-            if ex.graph_id in known_misses
+            (pattern.orig_ids, ex, ex.graph_id in known_misses)
+            for ex, (_, hit) in zip(ds.of_class(cls), rep.per_example)
+            if hit is False and not any(t is ex.graph for t in searched)
         )
-        return real(pattern, ds, cls, stop_at, known_misses)
+        return rep
 
     monkeypatch.setattr(patmine.miner, "coverage", recorded)
+    monkeypatch.setattr(patmine.morphism, "find_homomorphism", find)
     mine(dataset, cfg)
     monkeypatch.undo()
     return skipped
@@ -576,18 +587,17 @@ def search_counting_instance():
 class TestKnownMisses:
     @pytest.mark.parametrize("max_size", [None, 4])
     def test_skipped_examples_have_no_homomorphism(self, monkeypatch, max_size):
-        total = 0
+        totals = Counter()
         for ds in PRUNING_INSTANCES:
             assert ds.template.n <= BRUTE_FORCE_MAX_PATTERN
             cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
                                max_pattern_size=max_size)
-            pairs = skipped_searches(monkeypatch, ds, cfg)
-            for subset, ex in pairs:
+            for subset, ex, known in skipped_searches(monkeypatch, ds, cfg):
                 pattern = induced_subgraph(ds.template, subset)
                 assert brute_force_homomorphisms(pattern, ex.graph) == [], (
                     subset, ex.graph_id)
-            total += len(pairs)
-        assert total > 0
+                totals[known] += 1
+        assert totals[True] > 0 and totals[False] > 0
 
     def test_skipped_examples_read_false(self, monkeypatch, template, dataset):
         pattern = induced_subgraph(template, HEXCHORD_SUBSET)
@@ -600,8 +610,9 @@ class TestKnownMisses:
 
     def test_search_counts(self, monkeypatch):
         # Pinned figures: a change that widens or narrows the skip moves
-        # the decomposed count (1,282 searches without known misses); the
-        # monolithic stream count does not depend on them.
+        # the decomposed count (796 searches without the edge-label test,
+        # 1,282 without it and without known misses); the monolithic
+        # stream count does not depend on either.
         ds = search_counting_instance()
         finds, streams = [], []
         real_find = patmine.morphism.find_homomorphism
@@ -611,11 +622,43 @@ class TestKnownMisses:
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
-        assert (len(dec), len(finds), len(streams)) == (23, 796, 0)
+        assert (len(dec), len(finds), len(streams)) == (23, 217, 0)
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
         assert len(streams) == 2122
+
+
+class TestEdgeLabelTest:
+    @pytest.mark.parametrize("max_size", [None, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_neutralised_gives_same_results(self, strategy, max_size):
+        # With label_pairs empty for every graph the test never fires, which
+        # is the scan without it; only the decomposed search count may move.
+        def run(mp):
+            finds = []
+            real = patmine.morphism.find_homomorphism
+            mp.setattr(patmine.morphism, "find_homomorphism",
+                       lambda p, t: finds.append(1) or real(p, t))
+            results = [
+                [(r.subset, r.positive_covered, r.negative_covered)
+                 for r in mine(ds, MiningConfig(
+                     ds.n_pos_threshold, ds.n_neg_threshold,
+                     max_pattern_size=max_size, strategy=strategy))]
+                for ds in PRUNING_INSTANCES
+            ]
+            return results, len(finds)
+
+        with pytest.MonkeyPatch.context() as mp:
+            filtered, filtered_finds = run(mp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LabeledGraph, "label_pairs", property(lambda g: frozenset()))
+            plain, plain_finds = run(mp)
+        assert filtered == plain
+        if strategy is Strategy.DECOMPOSED:
+            assert filtered_finds < plain_finds
+        else:
+            assert filtered_finds == plain_finds
 
 
 class TestMiningConfig:

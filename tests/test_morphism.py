@@ -5,7 +5,10 @@ from collections import deque
 
 import pytest
 
+import patmine.morphism
 from patmine import (
+    Dataset,
+    Example,
     ExampleClass,
     build_graph,
     coverage,
@@ -331,7 +334,65 @@ class TestOracleEquivalence:
             )
 
 
+class TestLabelPairs:
+    def test_directed_pairs_and_loops(self):
+        g = build_graph(3, [(0, 1), (2, 2), (1, 0)], ["a", "b", "c"], False)
+        assert g.label_pairs == {("a", "b"), ("b", "a"), ("c", "c")}
+        h = build_graph(2, [(0, 1)], ["a", "b"], True)
+        assert h.label_pairs == {("a", "b"), ("b", "a")}
+
+    def test_missing_pair_means_no_homomorphism(self):
+        # The coverage scan reports a miss without a search when the
+        # example lacks one of the pattern's label pairs; that must only
+        # happen where no injective homomorphism exists.
+        rng = random.Random(2024)
+        fired = 0
+        for undirected in (True, False):
+            for _ in range(300):
+                pattern = random_graph(rng, rng.randrange(1, 5), ("a", "b", "c"),
+                                       undirected=undirected, loops=True)
+                target = random_graph(rng, rng.randrange(1, 7), ("a", "b", "c"),
+                                      undirected=undirected, loops=True)
+                if not pattern.label_pairs <= target.label_pairs:
+                    fired += 1
+                    assert brute_force_homomorphisms(pattern, target) == []
+        assert fired > 200
+
+
+def labelled_dataset(*graphs):
+    """A dataset whose examples are ``graphs``, all positive, N+ = 1."""
+    return Dataset(
+        template=graphs[0],
+        examples=tuple(
+            Example(i, ExampleClass.POSITIVE, g) for i, g in enumerate(graphs)
+        ),
+        n_pos_threshold=1,
+        n_neg_threshold=0,
+    )
+
+
 class TestCoverage:
+    # An a-b edge maps into itself; the second example has both labels
+    # but no a-b edge.
+    AB = build_graph(2, [(0, 1)], ["a", "b"], True)
+    AA_B = build_graph(3, [(0, 1)], ["a", "a", "b"], True)
+
+    def test_label_miss_reads_false_without_search(self, monkeypatch):
+        ds = labelled_dataset(self.AB, self.AA_B)
+        assert not self.AB.label_pairs <= self.AA_B.label_pairs
+        monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
+        rep = coverage(self.AB, labelled_dataset(self.AA_B), ExampleClass.POSITIVE)
+        assert rep.per_example == ((0, False),) and rep.positive_covered == 0
+        monkeypatch.undo()
+        rep = coverage(self.AB, ds, ExampleClass.POSITIVE)
+        assert rep.per_example == ((0, True), (1, False))
+
+    def test_label_miss_past_early_stop_reads_none(self):
+        ds = labelled_dataset(self.AB, self.AA_B)
+        rep = coverage(self.AB, ds, ExampleClass.POSITIVE, stop_at=1)
+        assert rep.per_example == ((0, True), (1, None))
+        assert rep.positive_covered == 1
+
     def test_hexchord_covers_positive(self, template, dataset):
         pattern = induced_subgraph(template, HEXCHORD_SUBSET)
         rep = coverage(pattern, dataset, ExampleClass.POSITIVE)
