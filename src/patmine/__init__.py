@@ -22,7 +22,6 @@ from .graphs import (
     build_graph,
     induced_subgraph,
     is_connected,
-    reachable,
 )
 from .morphism import (
     CoverageReport,
@@ -84,7 +83,6 @@ __all__ = [
     "mine",
     "parse_graphs",
     "parse_patterns",
-    "reachable",
     "write_bench_csv",
     "write_graphs",
     "write_patterns",

@@ -93,6 +93,15 @@ class LabeledGraph:
         return tuple(len(a) for a in self.in_adj)
 
     @cached_property
+    def by_label(self) -> dict[Label, tuple[VertexId, ...]]:
+        """Vertex ids of each label, ascending. Every search into this graph
+        reads it, so callers must not mutate it."""
+        index: dict[Label, list[VertexId]] = {}
+        for v, label in enumerate(self.labels):
+            index.setdefault(label, []).append(v)
+        return {label: tuple(vs) for label, vs in index.items()}
+
+    @cached_property
     def label_pairs(self) -> frozenset[tuple[Label, Label]]:
         """(source label, target label) of every edge."""
         labels = self.labels
@@ -185,26 +194,6 @@ def build_graph(
         labels=label_tuple,
         undirected_input=undirected,
     )
-
-
-def reachable(g: LabeledGraph, x: VertexId, y: VertexId) -> bool:
-    """True iff y is reachable from x by a nonempty path in the symmetric closure."""
-    if not (0 <= x < g.n):
-        raise VertexNotInGraph(f"vertex {x} not in graph of size {g.n}")
-    if not (0 <= y < g.n):
-        raise VertexNotInGraph(f"vertex {y} not in graph of size {g.n}")
-    # Start from x's neighbors so that reachable(g, x, x) demands a real cycle.
-    seen = set(g.sym_adj[x])
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        if v == y:
-            return True
-        for w in g.sym_adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return y in seen
 
 
 def is_connected(g: LabeledGraph) -> bool:

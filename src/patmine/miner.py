@@ -16,7 +16,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, induced_subgraph
-from .morphism import coverage, is_isomorphic, iter_homomorphisms
+# ``coverage`` is not called here. The benchmark's tracer
+# (perfbench/spans.py) and its tests look the name up in this module.
+from .morphism import count_covered, coverage, is_isomorphic, iter_homomorphisms
 
 
 class Strategy(Enum):
@@ -141,18 +143,6 @@ def is_valid_pattern(
     )
 
 
-def _count_decomposed(
-    pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
-    misses: set[int],
-) -> int:
-    """Examples of ``cls`` covered, one independent search each, stopping
-    once the count reaches ``threshold``. Examples in ``misses`` are
-    skipped without a search, and every example missed is added to it."""
-    rep = coverage(pattern, dataset, cls, stop_at=threshold, known_misses=misses)
-    misses.update(g for g, hit in rep.per_example if hit is False)
-    return rep.positive_covered + rep.negative_covered
-
-
 def _count_monolithic(
     pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
     misses: set[int],
@@ -219,7 +209,7 @@ def evaluate_strategy(
     """
     count = (
         _count_monolithic if config.strategy is Strategy.MONOLITHIC
-        else _count_decomposed
+        else count_covered
     )
     if misses is None:
         misses = set()
@@ -254,9 +244,8 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     is isomorphic to an accepted pattern, hence frequent, and records that
     pattern's miss set. An evaluated candidate starts from the union of its
     one-smaller sub-subsets' miss sets, which the decomposed counts skip
-    without a search (they read False in ``per_example``). Only the
-    previous level's record is kept. Skipping a known miss never changes a
-    count.
+    without a search. Only the previous level's record is kept. Skipping a
+    known miss never changes a count.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:

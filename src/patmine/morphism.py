@@ -7,7 +7,6 @@ Mappings are represented as tuples indexed by pattern vertex id.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from dataclasses import dataclass
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, VertexId
@@ -20,14 +19,12 @@ class CoverageReport:
     """Per-class coverage counts plus per-example verdicts.
 
     ``per_example`` holds (graph_id, has_homomorphism) pairs in graph_id
-    order for the queried class; examples skipped as known misses or
-    decided by edge labels carry False, and examples skipped by an early
-    stop carry None.
+    order for the queried class.
     """
 
     positive_covered: int
     negative_covered: int
-    per_example: tuple[tuple[int, bool | None], ...]
+    per_example: tuple[tuple[int, bool], ...]
 
 
 def _plan(
@@ -50,9 +47,7 @@ def _plan(
     """
     if pattern.n > target.n:
         return None
-    by_label: dict[str, list[int]] = {}
-    for t in range(target.n):
-        by_label.setdefault(target.labels[t], []).append(t)
+    by_label = target.by_label
 
     n, sym_adj, out_adj, in_adj = (
         pattern.n, pattern.sym_adj, pattern.out_adj, pattern.in_adj
@@ -80,7 +75,7 @@ def _plan(
         self_loop = (v, v) in pattern.edges
         cand = [
             t
-            for t in by_label.get(pattern.labels[v], [])
+            for t in by_label.get(pattern.labels[v], ())
             if target.out_degree[t] >= pattern.out_degree[v]
             and target.in_degree[t] >= pattern.in_degree[v]
             and (not self_loop or (t, t) in target.edges)
@@ -165,46 +160,54 @@ def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return find_homomorphism(g1, g2) is not None
 
 
-def coverage(
+def count_covered(
     pattern: LabeledGraph,
     dataset: Dataset,
     cls: ExampleClass,
-    stop_at: int | None = None,
-    known_misses: Container[int] = (),
-) -> CoverageReport:
-    """Count examples of ``cls`` admitting a homomorphism from ``pattern``.
+    stop_at: int,
+    misses: set[int],
+) -> int:
+    """Examples of ``cls`` that ``pattern`` maps into, counted in graph_id
+    order until the count reaches ``stop_at``.
 
-    Examples are scanned serially in graph_id order, one
-    :func:`find_homomorphism` call each. Examples whose graph_id is in
-    ``known_misses`` (the caller knows ``pattern`` does not map into them)
-    are reported as False without a search. With ``stop_at=k`` the scan
-    stops as soon as the covered count reaches k and the remaining examples
-    are reported as None (untested); ``stop_at=None`` tests all. An example
-    still to be tested that lacks one of the pattern's directed edge-label
-    pairs (:attr:`LabeledGraph.label_pairs`) is a miss, since a
-    homomorphism maps each edge onto an edge with the same two labels: it
-    is reported as False without a search.
+    An example whose graph_id is in ``misses`` (the caller knows
+    ``pattern`` does not map into it) is skipped without a search. An
+    example that lacks one of the pattern's directed edge-label pairs
+    (:attr:`LabeledGraph.label_pairs`) is a miss without a search, since a
+    homomorphism maps each edge onto an edge with the same two labels.
+    Every other example gets one :func:`find_homomorphism` call. Each miss
+    found is added to ``misses``; examples after the stop are not tested.
     """
-    if stop_at is not None and stop_at < 0:
-        raise ValueError("stop_at must be non-negative")
-    per_example: list[tuple[int, bool | None]] = []
+    if stop_at <= 0:
+        return 0
     covered = 0
+    pairs = pattern.label_pairs
     for ex in dataset.of_class(cls):
-        if ex.graph_id in known_misses:
-            per_example.append((ex.graph_id, False))
-        elif stop_at is not None and covered >= stop_at:
-            per_example.append((ex.graph_id, None))
-        elif not pattern.label_pairs <= ex.graph.label_pairs:
-            per_example.append((ex.graph_id, False))
+        gid = ex.graph_id
+        if gid in misses:
+            continue
+        graph = ex.graph
+        if pairs <= graph.label_pairs and find_homomorphism(pattern, graph) is not None:
+            covered += 1
+            if covered >= stop_at:
+                break
         else:
-            hit = find_homomorphism(pattern, ex.graph) is not None
-            per_example.append((ex.graph_id, hit))
-            covered += hit
+            misses.add(gid)
+    return covered
 
-    pos = covered if cls is ExampleClass.POSITIVE else 0
-    neg = covered if cls is ExampleClass.NEGATIVE else 0
+
+def coverage(
+    pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass
+) -> CoverageReport:
+    """Count examples of ``cls`` admitting a homomorphism from ``pattern``,
+    with a verdict per example: :func:`count_covered` with no stop, so an
+    example is covered unless the scan added it to its miss set.
+    """
+    examples = dataset.of_class(cls)
+    misses: set[int] = set()
+    covered = count_covered(pattern, dataset, cls, len(examples), misses)
     return CoverageReport(
-        positive_covered=pos,
-        negative_covered=neg,
-        per_example=tuple(per_example),
+        positive_covered=covered if cls is ExampleClass.POSITIVE else 0,
+        negative_covered=covered if cls is ExampleClass.NEGATIVE else 0,
+        per_example=tuple((ex.graph_id, ex.graph_id not in misses) for ex in examples),
     )

@@ -12,8 +12,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from patmine import Dataset, LabeledGraph, Mapping, build_graph, induced_subgraph
+from patmine import (
+    Dataset,
+    LabeledGraph,
+    Mapping,
+    VertexNotInGraph,
+    build_graph,
+    induced_subgraph,
+)
 from patmine.morphism import _plan
 
 BRUTE_FORCE_MAX_PATTERN = 8
@@ -21,6 +29,28 @@ BRUTE_FORCE_MAX_PATTERN = 8
 
 class PatternTooLarge(ValueError):
     pass
+
+
+def reachable(g: LabeledGraph, x: int, y: int) -> bool:
+    """True iff y is reachable from x by a nonempty path in the symmetric
+    closure, by breadth-first search. The package has no caller of this
+    query; it lives here, checked against :func:`closure_reachable`."""
+    if not (0 <= x < g.n):
+        raise VertexNotInGraph(f"vertex {x} not in graph of size {g.n}")
+    if not (0 <= y < g.n):
+        raise VertexNotInGraph(f"vertex {y} not in graph of size {g.n}")
+    # Start from x's neighbors so that reachable(g, x, x) demands a real cycle.
+    seen = set(g.sym_adj[x])
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        if v == y:
+            return True
+        for w in g.sym_adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return y in seen
 
 
 def closure_reachable(g: LabeledGraph, x: int, y: int) -> bool:

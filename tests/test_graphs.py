@@ -12,11 +12,15 @@ from patmine import (
     build_graph,
     induced_subgraph,
     is_connected,
-    reachable,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
 
-from oracles import closure_reachable, random_graph, unionfind_connected
+from oracles import (
+    closure_reachable,
+    random_graph,
+    reachable,
+    unionfind_connected,
+)
 
 
 def undirected_pairs(g):

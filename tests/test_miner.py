@@ -25,6 +25,7 @@ from patmine import (
 )
 from patmine.dataio import SynthParams, gen_synthetic
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, demo_dataset
+from patmine.morphism import count_covered
 
 from oracles import (
     BRUTE_FORCE_MAX_PATTERN,
@@ -550,28 +551,31 @@ class TestPruning:
 
 
 def skipped_searches(monkeypatch, dataset, cfg):
-    """Run mine() recording, per coverage scan, each (subset, example,
-    known) triple for an example read as a miss without a search: a known
-    miss (known is True) or one the edge-label test rejects."""
+    """Run mine() recording, per decomposed count, each (subset, example,
+    known) triple for an example the count reads as a miss without a
+    search: one in the miss set it was handed (known is True), or one it
+    added to that set without searching it, which the edge-label test
+    rejected."""
     skipped, searched = [], []
-    real_coverage = patmine.miner.coverage
+    real_count = patmine.miner.count_covered
     real_find = patmine.morphism.find_homomorphism
 
     def find(pattern, target):
         searched.append(target)
         return real_find(pattern, target)
 
-    def recorded(pattern, ds, cls, stop_at=None, known_misses=()):
+    def recorded(pattern, ds, cls, stop_at, misses):
         searched.clear()
-        rep = real_coverage(pattern, ds, cls, stop_at, known_misses)
+        known = set(misses)
+        covered = real_count(pattern, ds, cls, stop_at, misses)
         skipped.extend(
-            (pattern.orig_ids, ex, ex.graph_id in known_misses)
-            for ex, (_, hit) in zip(ds.of_class(cls), rep.per_example)
-            if hit is False and not any(t is ex.graph for t in searched)
+            (pattern.orig_ids, ex, ex.graph_id in known)
+            for ex in ds.of_class(cls)
+            if ex.graph_id in misses and not any(t is ex.graph for t in searched)
         )
-        return rep
+        return covered
 
-    monkeypatch.setattr(patmine.miner, "coverage", recorded)
+    monkeypatch.setattr(patmine.miner, "count_covered", recorded)
     monkeypatch.setattr(patmine.morphism, "find_homomorphism", find)
     mine(dataset, cfg)
     monkeypatch.undo()
@@ -604,9 +608,9 @@ class TestKnownMisses:
         searched = coverage(pattern, dataset, ExampleClass.NEGATIVE)
         assert searched.per_example == ((1, False),)
         monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
-        skipped = coverage(pattern, dataset, ExampleClass.NEGATIVE,
-                           known_misses={1})
-        assert skipped == searched
+        misses = {1}
+        skipped = count_covered(pattern, dataset, ExampleClass.NEGATIVE, 1, misses)
+        assert (skipped, misses) == (searched.negative_covered, {1})
 
     def test_search_counts(self, monkeypatch):
         # Pinned figures: a change that widens or narrows the skip moves

@@ -10,6 +10,7 @@ from patmine import (
     Dataset,
     Example,
     ExampleClass,
+    LabeledGraph,
     build_graph,
     coverage,
     find_homomorphism,
@@ -17,7 +18,7 @@ from patmine import (
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
-from patmine.morphism import _plan, iter_homomorphisms
+from patmine.morphism import _plan, count_covered, iter_homomorphisms
 
 from oracles import (
     PatternTooLarge,
@@ -289,6 +290,87 @@ class TestPlan:
         assert planned > 300 and disconnected > 20 and start_ties > 50
 
 
+class TestCaches:
+    """Each graph caches what every search into or from it reads: the
+    per-label vertex index, the adjacency and degree tables and the
+    edge-label pairs. The caches are read-only, so a graph with warm caches
+    plans, searches and compares exactly as a fresh equal copy does."""
+
+    CACHED = ("by_label", "label_pairs", "out_adj", "in_adj", "sym_adj",
+              "out_degree", "in_degree")
+
+    @staticmethod
+    def fresh(g):
+        return LabeledGraph(g.n, g.edges, g.labels, g.undirected_input)
+
+    @staticmethod
+    def instances(seed):
+        """Seeded (pattern, six targets), directed and undirected, with
+        self-loops."""
+        rng = random.Random(seed)
+        for undirected in (True, False):
+            for _ in range(40):
+                kind = dict(undirected=undirected, loops=True)
+                pattern = random_graph(rng, rng.randrange(1, 5), **kind)
+                yield pattern, [
+                    random_graph(rng, rng.randrange(1, 8), **kind) for _ in range(6)
+                ]
+
+    def test_warm_plans_match_fresh_copies(self):
+        planned = 0
+        for pattern, targets in self.instances(83):
+            # The second pass plans against targets whose caches are warm.
+            for target in targets + targets:
+                plan = _plan(pattern, target)
+                fresh_p, fresh_t = self.fresh(pattern), self.fresh(target)
+                assert plan == _plan(fresh_p, fresh_t)
+                want = TestPlan.reference_plan(pattern, target)
+                if want is None:
+                    assert plan is None
+                    continue
+                order, checks, candidates = plan
+                assert order == want[0] and candidates == want[2]
+                assert list(map(sorted, checks)) == list(map(sorted, want[1]))
+                assert list(iter_homomorphisms(pattern, target)) == list(
+                    iter_homomorphisms(fresh_p, fresh_t)
+                )
+                planned += 1
+        assert planned > 300
+
+    def test_interleaved_streams_match_independent_ones(self):
+        witnesses = 0
+        for pattern, targets in self.instances(89):
+            # Two streams into each target, advanced in turn, as the
+            # monolithic search keeps one stream per example alive.
+            streams = [iter_homomorphisms(pattern, t) for t in targets + targets]
+            got = [[] for _ in streams]
+            live = list(range(len(streams)))
+            while live:
+                for i in list(live):
+                    m = next(streams[i], None)
+                    if m is None:
+                        live.remove(i)
+                    else:
+                        got[i].append(m)
+            assert got == [
+                list(iter_homomorphisms(self.fresh(pattern), self.fresh(t)))
+                for t in targets + targets
+            ]
+            witnesses += sum(map(len, got))
+        assert witnesses > 800
+
+    def test_populated_caches_keep_equality_and_hash(self):
+        for pattern, targets in self.instances(97):
+            for g in [pattern, *targets]:
+                copy = self.fresh(g)
+                for name in self.CACHED:
+                    getattr(g, name)
+                assert all(name in vars(g) for name in self.CACHED)
+                assert not any(name in vars(copy) for name in self.CACHED)
+                assert g == copy and copy == g and hash(g) == hash(copy)
+                assert {copy: True}[g]
+
+
 class TestDeepInputs:
     """A 1,200-vertex path is deeper than the default recursion limit, so a
     search that recursed once per pattern vertex would fail on it."""
@@ -388,10 +470,12 @@ class TestCoverage:
         assert rep.per_example == ((0, True), (1, False))
 
     def test_label_miss_past_early_stop_reads_none(self):
+        # The count stops at its first hit: the label miss after it is not
+        # tested, so it does not join the miss set.
         ds = labelled_dataset(self.AB, self.AA_B)
-        rep = coverage(self.AB, ds, ExampleClass.POSITIVE, stop_at=1)
-        assert rep.per_example == ((0, True), (1, None))
-        assert rep.positive_covered == 1
+        misses = set()
+        assert count_covered(self.AB, ds, ExampleClass.POSITIVE, 1, misses) == 1
+        assert misses == set()
 
     def test_hexchord_covers_positive(self, template, dataset):
         pattern = induced_subgraph(template, HEXCHORD_SUBSET)
@@ -415,11 +499,13 @@ class TestCoverage:
         rep = coverage(pattern, pos_only, ExampleClass.NEGATIVE)
         assert rep.negative_covered == 0 and rep.per_example == ()
 
-    def test_early_stop_marks_unknown(self, template, dataset):
+    def test_early_stop_marks_unknown(self, monkeypatch, template, dataset):
+        # A count that stops at 0 tests no example.
         pattern = induced_subgraph(template, TAILPATH_SUBSET)
-        rep = coverage(pattern, dataset, ExampleClass.POSITIVE, stop_at=0)
-        assert rep.positive_covered == 0
-        assert rep.per_example == ((0, None),)
+        monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
+        misses = set()
+        assert count_covered(pattern, dataset, ExampleClass.POSITIVE, 0, misses) == 0
+        assert misses == set()
 
     def test_full_counts_match_brute_force(self, dataset):
         rng = random.Random(41)
