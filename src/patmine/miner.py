@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Dataset, ExampleClass, LabeledGraph, induced_subgraph
+from .graphs import Dataset, ExampleClass, LabeledGraph, cached_property, induced_subgraph
 # ``coverage`` is not called here. The benchmark's tracer
 # (perfbench/spans.py) and its tests look the name up in this module.
 from .morphism import count_covered, coverage, is_isomorphic, iter_homomorphisms
@@ -106,18 +106,49 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     return tuple(out)
 
 
-def _signature(g: LabeledGraph) -> tuple:
+def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """One round of colour refinement: each vertex's (label, out-degree,
     in-degree), extended by the sorted colours of its out- and
-    in-neighbours. Isomorphic graphs get equal signatures. It reads the
-    graph's cached adjacency and degree tables, which evaluation reuses."""
+    in-neighbours. Returns the sorted colours, equal for isomorphic graphs,
+    and the vertices in that order. Reads cached tables that evaluation reuses."""
     out, inn = g.out_adj, g.in_adj
     colour = tuple(zip(g.labels, g.out_degree, g.in_degree)).__getitem__
-    return tuple(sorted(
-        (colour(v), tuple(sorted(map(colour, out[v]))),
-         tuple(sorted(map(colour, inn[v]))))
-        for v in range(g.n)
-    ))
+    colours = [(colour(v), tuple(sorted(map(colour, out[v]))),
+                tuple(sorted(map(colour, inn[v])))) for v in range(g.n)]
+    order = sorted(range(g.n), key=colours.__getitem__)
+    return tuple(map(colours.__getitem__, order)), order
+
+
+@dataclass
+class _Entry:
+    """A pattern built at a size level, with its signature and colour order."""
+    pattern: LabeledGraph
+    signature: tuple
+    order: list[int]
+
+    @cached_property
+    def key(self) -> frozenset[tuple[int, int]]:
+        """The edges with each vertex renumbered by its colour rank."""
+        rank = sorted(range(self.pattern.n), key=self.order.__getitem__)
+        return frozenset((rank[u], rank[v]) for u, v in self.pattern.edges)
+
+
+def _entry(pattern: LabeledGraph, built: dict, accepted: dict) -> _Entry:
+    """The entry deciding ``pattern``, kept in ``built`` under its labels and
+    edges: that of an equal graph built earlier at the level, else that of
+    the isomorphic accepted pattern in its signature bucket, else a new one.
+    With all-distinct colours an isomorphism maps each vertex to the one of
+    its colour, so equal keys decide; otherwise :func:`is_isomorphic` does."""
+    graph = pattern.labels, pattern.edges
+    if graph not in built:
+        new = _Entry(pattern, *_signature(pattern))
+        bucket = accepted.get(new.signature, ())
+        if bucket and len(set(new.signature)) == pattern.n:
+            match = (e for e in bucket if e.key == new.key)
+        else:
+            match = (e for e in bucket if is_isomorphic(e.pattern, pattern))
+        built[graph] = next(match, new)
+    return built[graph]
 
 
 def candidate_subsets(template: LabeledGraph, size: int) -> Iterator[tuple[int, ...]]:
@@ -131,7 +162,7 @@ def candidate_subsets(template: LabeledGraph, size: int) -> Iterator[tuple[int, 
 def is_valid_pattern(
     pattern: LabeledGraph, dataset: Dataset, config: MiningConfig
 ) -> tuple[bool, int, int]:
-    """Coverage check with early termination (the decomposed evaluation).
+    """The public one-pattern check: the decomposed :func:`evaluate_strategy`.
 
     Positives are scanned until the count reaches the threshold; the
     negative scan aborts and rejects as soon as the count exceeds its
@@ -228,11 +259,11 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     Within a size level, candidates are scanned in lexicographic subset
     order. Each level keeps the patterns it has accepted, bucketed by
     signature; a candidate isomorphic to one in its bucket is blocked, so no
-    two emitted patterns of a level are isomorphic. Validity is the same for
-    isomorphic subsets, so each emitted subset is the lexicographically
-    first of its isomorphism class. Coverage runs serially in the calling
-    thread. The sequence of emitted patterns is deterministic for fixed
-    inputs; only the elapsed_ms fields vary between runs.
+    two emitted patterns of a level are isomorphic (see :func:`_entry`).
+    Validity is the same for isomorphic subsets, so each emitted subset is
+    the lexicographically first of its isomorphism class. Coverage runs
+    serially in the calling thread. The sequence of emitted patterns is
+    deterministic for fixed inputs; only the elapsed_ms fields vary.
 
     Positive coverage is anti-monotone: a pattern maps into every example
     that one of its supersets maps into. Each level records one entry per
@@ -242,10 +273,11 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     unevaluated, and a level recording only None ends the run, since every
     connected (k+1)-subset contains a connected k-subset. A blocked subset
     is isomorphic to an accepted pattern, hence frequent, and records that
-    pattern's miss set. An evaluated candidate starts from the union of its
-    one-smaller sub-subsets' miss sets, which the decomposed counts skip
-    without a search. Only the previous level's record is kept. Skipping a
-    known miss never changes a count.
+    pattern's miss set; a candidate equal to a graph built earlier at its
+    level records that graph's entry unevaluated. An evaluated candidate
+    starts from the union of its one-smaller sub-subsets' miss sets, which
+    the decomposed counts skip without a search. Only the previous level's
+    record is kept. Skipping a known miss never changes a count.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -257,7 +289,8 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     level: dict[tuple[int, ...], set[int] | None] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        accepted: dict[tuple, list[tuple[LabeledGraph, set[int]]]] = {}
+        built: dict[tuple, _Entry] = {}  # by (labels, edges)
+        accepted: dict[tuple, list[_Entry]] = {}
         below, level = level, {}
         for subset in candidate_subsets(template, size):
             known = [below.get(subset[:i] + subset[i + 1 :], ()) for i in range(size)]
@@ -265,13 +298,9 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 level[subset] = None
                 continue
             pattern = induced_subgraph(template, subset)
-            sig = _signature(pattern)
-            inherited = next(
-                (m for p, m in accepted.get(sig, ()) if is_isomorphic(p, pattern)),
-                None,
-            )
-            if inherited is not None:
-                level[subset] = inherited
+            entry = _entry(pattern, built, accepted)
+            if entry.pattern is not pattern:
+                level[subset] = level[entry.pattern.orig_ids]
                 continue
             misses = set().union(*known)
             ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
@@ -290,7 +319,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 )
             )
             t_prev = now
-            accepted.setdefault(sig, []).append((pattern, misses))
+            accepted.setdefault(entry.signature, []).append(entry)
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
         if all(m is None for m in level.values()):

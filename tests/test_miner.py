@@ -19,6 +19,7 @@ from patmine import (
     coverage,
     evaluate_strategy,
     induced_subgraph,
+    is_connected,
     is_isomorphic,
     is_valid_pattern,
     mine,
@@ -107,25 +108,47 @@ class TestIsValidPattern:
         assert ok
 
 
-def occurrences(monkeypatch, template, min_size=1, max_size=None):
+def decided_by(monkeypatch, dataset, cfg):
+    """Mine ``dataset`` and return the results and, for each candidate
+    that ``miner._entry`` settled with another pattern's entry, in scan
+    order: (candidate, that entry, path). The path is the step that
+    decides it: "equal" when a graph with the same labels and edges was
+    built earlier at the level, else "key" (colour-rank key) when the
+    signature's colours are all distinct, else "search" (``is_isomorphic``)."""
+    shared = []
+    real = patmine.miner._entry
+
+    def recorded(pattern, built, accepted):
+        equal = (pattern.labels, pattern.edges) in built
+        entry = real(pattern, built, accepted)
+        if entry.pattern is not pattern:
+            sig = entry.signature
+            path = ("equal" if equal else
+                    "key" if len(set(sig)) == len(sig) else "search")
+            shared.append((pattern, entry, path))
+        return entry
+
+    monkeypatch.setattr(patmine.miner, "_entry", recorded)
+    results = mine(dataset, cfg)
+    monkeypatch.undo()
+    return results, shared
+
+
+def occurrences(monkeypatch, template, min_size=1, max_size=None, paths=None):
     """Mine ``template`` with vacuous thresholds, so every candidate is
     valid, and map each emitted subset to its occurrences in the template:
-    itself, then the candidates blocked as isomorphic to it, in scan order."""
+    itself, then the candidates blocked as isomorphic to it, in scan order.
+    With every candidate valid, each shared entry is a blocking one; the
+    path that found it is counted in ``paths`` when one is given."""
     ds = Dataset(template=template, examples=(), n_pos_threshold=0,
                  n_neg_threshold=0)
+    results, shared = decided_by(monkeypatch, ds, config(
+        n_pos=0, min_pattern_size=min_size, max_pattern_size=max_size))
     blocked: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    real = patmine.miner.is_isomorphic
-
-    def recorded(accepted, candidate):
-        same = real(accepted, candidate)
-        if same:
-            blocked.setdefault(accepted.orig_ids, []).append(candidate.orig_ids)
-        return same
-
-    monkeypatch.setattr(patmine.miner, "is_isomorphic", recorded)
-    results = mine(ds, config(n_pos=0, min_pattern_size=min_size,
-                              max_pattern_size=max_size))
-    monkeypatch.undo()
+    for candidate, entry, path in shared:
+        blocked.setdefault(entry.pattern.orig_ids, []).append(candidate.orig_ids)
+        if paths is not None:
+            paths[path] += 1
     return {r.subset: [r.subset, *blocked.get(r.subset, [])] for r in results}
 
 
@@ -154,14 +177,16 @@ class TestTemplateOccurrences:
     def test_equals_brute_force_isomorphic_subsets(self, monkeypatch):
         # Each level emits the lexicographically first subset of every
         # isomorphism class, and blocks exactly the rest of the class.
+        # All three ways of finding the blocking pattern occur.
         rng = random.Random(53)
         checked = 0
+        paths = Counter()
         for trial in range(24):
             t = random_graph(
                 rng, rng.randrange(4, 8), edge_prob=0.5,
                 undirected=trial % 2 == 0, loops=trial % 4 >= 2,
             )
-            occ = occurrences(monkeypatch, t, 1, 4)
+            occ = occurrences(monkeypatch, t, 1, 4, paths)
             for k in range(1, 5):
                 classes: list[list[tuple[int, ...]]] = []
                 for s in itertools.combinations(range(t.n), k):
@@ -178,6 +203,7 @@ class TestTemplateOccurrences:
                 assert level == {cls[0]: cls for cls in classes}
                 checked += sum(len(cls) > 1 for cls in classes)
         assert checked > 0
+        assert set(paths) == {"equal", "key", "search"}, paths
 
 
 def signature_templates():
@@ -194,6 +220,30 @@ def signature_templates():
 
 
 SIGNATURE_TEMPLATES = signature_templates()
+
+
+def switched_union(g):
+    """``g`` beside a copy of itself (ids shifted by ``g.n``) in which the
+    edges a->x and c->y become a->y and c->x, where a, c and x, y have
+    equal (label, out-degree, in-degree). Every vertex keeps its one-round
+    colour, so both copies get one signature. The first such swap that
+    leaves the copy connected, or None when there is none."""
+    colour = list(zip(g.labels, g.out_degree, g.in_degree))
+    for (a, x), (c, y) in itertools.combinations(sorted(g.edges), 2):
+        if len({a, x, c, y}) < 4 or colour[a] != colour[c] or colour[x] != colour[y]:
+            continue
+        old, new = {(a, x), (c, y)}, {(a, y), (c, x)}
+        if g.undirected_input:
+            old |= {(v, u) for u, v in old}
+            new |= {(v, u) for u, v in new}
+        edges = (g.edges - old) | new
+        copy = build_graph(g.n, edges, g.labels, g.undirected_input)
+        if len(edges) == len(g.edges) and is_connected(copy):
+            return build_graph(
+                2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in edges)],
+                g.labels * 2, g.undirected_input,
+            )
+    return None
 
 
 class TestOccurrenceSignature:
@@ -214,7 +264,7 @@ class TestOccurrenceSignature:
                     t.undirected_input,
                 )
                 sig = patmine.miner._signature
-                assert sig(shuffled) == sig(sub)
+                assert sig(shuffled)[0] == sig(sub)[0]
 
     @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
     def test_isomorphic_subsets_share_a_group(self, trial):
@@ -226,7 +276,8 @@ class TestOccurrenceSignature:
             ]
             for a, b in itertools.combinations(level, 2):
                 if bijection_isomorphic(a, b):
-                    assert patmine.miner._signature(a) == patmine.miner._signature(b)
+                    assert (patmine.miner._signature(a)[0]
+                            == patmine.miner._signature(b)[0])
                     pairs += 1
         assert pairs > 0
 
@@ -242,12 +293,52 @@ class TestOccurrenceSignature:
             assert sorted(members) == list(patmine.miner._connected_ksubsets(t, k))
             for group in groups:
                 assert group == sorted(group)
-                sigs = {patmine.miner._signature(induced_subgraph(t, s)) for s in group}
+                sigs = {patmine.miner._signature(induced_subgraph(t, s))[0]
+                        for s in group}
                 assert len(sigs) == 1
+
+    def test_rank_key_decides_isomorphism_of_discrete_colourings(self):
+        # Same-level subsets with equal signatures and all-distinct colours:
+        # equal colour-rank keys exactly when a bijection maps one onto the
+        # other. Random templates rarely hold a non-isomorphic such pair, so
+        # the seeded templates put a 7-vertex graph with all-distinct
+        # colours beside a colour-preserving edge swap of itself: three
+        # each directed and undirected, with and without self-loops. Both
+        # outcomes must occur.
+        templates = list(SIGNATURE_TEMPLATES)
+        for undirected, loops in itertools.product((True, False), repeat=2):
+            rng = random.Random(89)
+            found = 0
+            while found < 3:
+                g = random_graph(rng, 7, undirected=undirected, loops=loops)
+                sig, _ = patmine.miner._signature(g)
+                union = switched_union(g) if len(set(sig)) == g.n else None
+                if union is not None:
+                    templates.append(union)
+                    found += 1
+        outcomes = Counter()
+        for t in templates:
+            for k in range(1, min(t.n, 7) + 1):
+                groups: dict[tuple, list] = {}
+                for s in patmine.miner._connected_ksubsets(t, k):
+                    g = induced_subgraph(t, s)
+                    entry = patmine.miner._Entry(g, *patmine.miner._signature(g))
+                    if len(set(entry.signature)) == k:
+                        groups.setdefault(entry.signature, []).append((g, entry.key))
+                for group in groups.values():
+                    for (a, key_a), (b, key_b) in itertools.combinations(group, 2):
+                        same = bijection_isomorphic(a, b)
+                        assert (key_a == key_b) == same
+                        outcomes[same] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
 
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
-        # One is_isomorphic call per blocked candidate, none false.
+        # 1,162 candidates are blocked. An equal graph built earlier decides
+        # 481 and the colour-rank key 419, without a search; the other 262
+        # get one is_isomorphic call each, none false.
+        # One more candidate equals an earlier graph that failed N+ and
+        # shares its entry, unevaluated.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
@@ -259,10 +350,18 @@ class TestOccurrenceSignature:
             return verdicts[-1]
 
         monkeypatch.setattr(patmine.miner, "is_isomorphic", counted)
-        results = mine(ds, config(max_pattern_size=6))
+        results, shared = decided_by(monkeypatch, ds, config(max_pattern_size=6))
+        emitted = {r.subset for r in results}
+        paths = Counter(path for _, entry, path in shared
+                        if entry.pattern.orig_ids in emitted)
         assert len(results) == 222
-        assert len(verdicts) == 1162
+        assert paths == {"equal": 481, "key": 419, "search": 262}
+        assert len(verdicts) == 262
         assert all(verdicts)
+        rejected = [entry.pattern for _, entry, _ in shared
+                    if entry.pattern.orig_ids not in emitted]
+        assert len(rejected) == 1
+        assert is_valid_pattern(rejected[0], ds, config()) == (False, 0, 0)
 
 
 class TestEvaluateStrategy:
@@ -613,10 +712,15 @@ class TestKnownMisses:
         assert (skipped, misses) == (searched.negative_covered, {1})
 
     def test_search_counts(self, monkeypatch):
-        # Pinned figures: a change that widens or narrows the skip moves
-        # the decomposed count (796 searches without the edge-label test,
-        # 1,282 without it and without known misses); the monolithic
-        # stream count does not depend on either.
+        # Pinned figures. The decomposed count holds the coverage searches
+        # and the blocking searches inside is_isomorphic (none here: an
+        # equal graph or the colour-rank key decides both blocked
+        # candidates). Widening or narrowing the miss skip moves it (746
+        # searches without the edge-label test, 1,226 without it and
+        # without known misses); the monolithic stream count depends on
+        # neither. Both move with the number of evaluated candidates: 5
+        # candidates rejected by N- equal a graph evaluated earlier at
+        # their level and share its outcome unevaluated.
         ds = search_counting_instance()
         finds, streams = [], []
         real_find = patmine.morphism.find_homomorphism
@@ -626,11 +730,11 @@ class TestKnownMisses:
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
-        assert (len(dec), len(finds), len(streams)) == (23, 217, 0)
+        assert (len(dec), len(finds), len(streams)) == (23, 194, 0)
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
-        assert len(streams) == 2122
+        assert len(streams) == 1972
 
 
 class TestEdgeLabelTest:
