@@ -279,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for config in configs:
         name = config.strategy.value
         per_index = times.setdefault(name, {})
-        mine(dataset, config)  # warmup: candidate caches and adjacency tables
+        mine(dataset, config)  # warmup: candidate caches and example indexes
         for _ in range(args.repeats):
             results = mine(dataset, config)
             emitted.setdefault(name, []).append([res.subset for res in results])

@@ -15,8 +15,9 @@ class cached_property:
     """``functools.cached_property`` without its first-access lock (taken
     before Python 3.12). Mining builds a fresh small graph per candidate;
     with functools, the first accesses were about a third of the cost of
-    building one with its adjacency and degree tables.
-    """
+    building one with its adjacency and degree tables. Degrees are counted
+    over the edges, so a graph that is only ever a search target, such as
+    an example graph, builds no adjacency tables."""
 
     def __init__(self, func):
         self.func = func
@@ -86,11 +87,17 @@ class LabeledGraph:
 
     @cached_property
     def out_degree(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.out_adj)
+        degree = [0] * self.n
+        for u, _ in self.edges:
+            degree[u] += 1
+        return tuple(degree)
 
     @cached_property
     def in_degree(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.in_adj)
+        degree = [0] * self.n
+        for _, v in self.edges:
+            degree[v] += 1
+        return tuple(degree)
 
     @cached_property
     def by_label(self) -> dict[Label, tuple[VertexId, ...]]:

@@ -201,7 +201,7 @@ def test_criterion_6_performance_trend():
     cfg_dec = MiningConfig(n_pos, 0, max_patterns=5, strategy=Strategy.DECOMPOSED)
     cfg_mono = MiningConfig(n_pos, 0, max_patterns=5, strategy=Strategy.MONOLITHIC)
 
-    mine(ds, cfg_dec)  # warmup: candidate caches and adjacency tables
+    mine(ds, cfg_dec)  # warmup: candidate caches and example indexes
     mine(ds, cfg_mono)
 
     dec_ms: list[float] = []

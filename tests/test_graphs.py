@@ -58,6 +58,35 @@ class TestBuildGraph:
             assert g1.edges == g2.edges
 
 
+class TestDegrees:
+    """Degrees are counted over the edge set, without building the
+    adjacency tables, and equal the lengths of those tables."""
+
+    def test_self_loop_counts_once_in_each_direction(self):
+        g = build_graph(3, [(0, 0), (0, 1)], ["a"] * 3, undirected=False)
+        assert (g.out_degree, g.in_degree) == ((2, 0, 0), (1, 1, 0))
+        g = build_graph(2, [(1, 1)], ["a"] * 2, undirected=True)
+        assert (g.out_degree, g.in_degree) == ((0, 1), (0, 1))
+
+    def test_match_adjacency_lengths(self):
+        rng = random.Random(31)
+        loops = isolated = 0
+        for undirected in (True, False):
+            graphs = [build_graph(0, [], [], undirected=undirected)] + [
+                random_graph(rng, rng.randrange(1, 9), edge_prob=0.25,
+                             undirected=undirected, loops=True)
+                for _ in range(80)
+            ]
+            for g in graphs:
+                out_degree, in_degree = g.out_degree, g.in_degree
+                assert not {"out_adj", "in_adj", "sym_adj"} & g.__dict__.keys()
+                assert out_degree == tuple(len(a) for a in g.out_adj)
+                assert in_degree == tuple(len(a) for a in g.in_adj)
+                loops += sum((v, v) in g.edges for v in g.vertices())
+                isolated += sum(not a and not b for a, b in zip(g.out_adj, g.in_adj))
+        assert loops > 50 and isolated > 20
+
+
 class TestReachable:
     def test_path_transitivity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)], ["a"] * 4, undirected=True)

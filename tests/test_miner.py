@@ -769,6 +769,43 @@ class TestEdgeLabelTest:
             assert filtered_finds == plain_finds
 
 
+class TestExampleTables:
+    """An example graph is only ever a search target. The scan reads its
+    label pairs and the search its label index and degrees, so mining and
+    coverage build none of its adjacency tables."""
+
+    ADJACENCY = {"out_adj", "in_adj", "sym_adj"}
+
+    def instances(self):
+        return desk_scale_instances() + [demo_dataset()]
+
+    def assert_no_adjacency(self, datasets):
+        searched = 0
+        for ds in datasets:
+            for ex in ds.examples:
+                assert not self.ADJACENCY & ex.graph.__dict__.keys()
+                searched += "out_degree" in ex.graph.__dict__
+        assert searched > 20
+
+    def test_mine_builds_no_example_adjacency(self):
+        for strategy in Strategy:
+            datasets = self.instances()
+            for ds in datasets:
+                mine(ds, config(ds.n_pos_threshold, ds.n_neg_threshold,
+                                strategy=strategy))
+            self.assert_no_adjacency(datasets)
+
+    def test_coverage_builds_no_example_adjacency(self):
+        datasets = self.instances()
+        for ds in datasets:
+            for size in range(1, ds.template.n + 1):
+                for subset in candidate_subsets(ds.template, size):
+                    pattern = induced_subgraph(ds.template, subset)
+                    for cls in ExampleClass:
+                        coverage(pattern, ds, cls)
+        self.assert_no_adjacency(datasets)
+
+
 class TestMiningConfig:
     def test_rejects_bad_min_size(self):
         with pytest.raises(ValueError):

@@ -291,10 +291,11 @@ class TestPlan:
 
 
 class TestCaches:
-    """Each graph caches what every search into or from it reads: the
-    per-label vertex index, the adjacency and degree tables and the
-    edge-label pairs. The caches are read-only, so a graph with warm caches
-    plans, searches and compares exactly as a fresh equal copy does."""
+    """Each graph caches what every search into or from it reads: as a
+    pattern its adjacency and degree tables, as a target its per-label
+    vertex index and degrees, and its edge-label pairs either way. The
+    caches are read-only, so a graph with warm caches plans, searches and
+    compares exactly as a fresh equal copy does."""
 
     CACHED = ("by_label", "label_pairs", "out_adj", "in_adj", "sym_adj",
               "out_degree", "in_degree")
