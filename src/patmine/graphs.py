@@ -231,12 +231,12 @@ def induced_subgraph(g: LabeledGraph, subset: Iterable[VertexId]) -> LabeledGrap
     remap = {old: new for new, old in enumerate(order)}
     out_adj = g.out_adj
     kept = frozenset(
-        (remap[u], remap[v]) for u in order for v in out_adj[u] if v in remap
+        [(remap[u], remap[v]) for u in order for v in out_adj[u] if v in remap]
     )
     return LabeledGraph(
         n=len(order),
         edges=kept,
-        labels=tuple(g.labels[v] for v in order),
+        labels=tuple([g.labels[v] for v in order]),
         undirected_input=g.undirected_input,
         orig_ids=tuple(order),
     )

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import permutations, product
+from math import factorial, prod
 from typing import Iterator
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, cached_property, induced_subgraph
@@ -110,13 +112,29 @@ def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """One round of colour refinement: each vertex's (label, out-degree,
     in-degree), extended by the sorted colours of its out- and
     in-neighbours. Returns the sorted colours, equal for isomorphic graphs,
-    and the vertices in that order. Reads cached tables that evaluation reuses."""
-    out, inn = g.out_adj, g.in_adj
-    colour = tuple(zip(g.labels, g.out_degree, g.in_degree)).__getitem__
-    colours = [(colour(v), tuple(sorted(map(colour, out[v]))),
-                tuple(sorted(map(colour, inn[v])))) for v in range(g.n)]
-    order = sorted(range(g.n), key=colours.__getitem__)
+    and the vertices in that order. Counted over the edge set, so a
+    blocked candidate builds no adjacency or degree tables."""
+    n, edges = g.n, g.edges
+    out_degree, in_degree = [0] * n, [0] * n
+    for u, v in edges:
+        out_degree[u] += 1
+        in_degree[v] += 1
+    colour = list(zip(g.labels, out_degree, in_degree))
+    out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(colour[v])
+        inn[v].append(colour[u])
+    colours = [(c, tuple(sorted(o)), tuple(sorted(i)))
+               for c, o, i in zip(colour, out, inn)]
+    order = sorted(range(n), key=colours.__getitem__)
     return tuple(map(colours.__getitem__, order)), order
+
+
+# Above this many renumberings, is_isomorphic decides a tied colouring. On
+# 6-vertex patterns the first key costs 9-12 us, each further one 4-7 us,
+# and one blocking search 43-74 us (2 vCPUs, Python 3.11; BENCH_14.json),
+# so 24 keys cost about one search when the hit comes halfway through.
+_MAX_RENUMBERINGS = 24
 
 
 @dataclass
@@ -127,26 +145,42 @@ class _Entry:
     order: list[int]
 
     @cached_property
-    def key(self) -> frozenset[tuple[int, int]]:
-        """The edges with each vertex renumbered by its colour rank."""
-        rank = sorted(range(self.pattern.n), key=self.order.__getitem__)
-        return frozenset((rank[u], rank[v]) for u, v in self.pattern.edges)
+    def ties(self) -> list[range]:
+        """The rank ranges of the colours that several vertices share."""
+        s = self.signature
+        cuts = [0, *(i for i in range(1, len(s)) if s[i] != s[i - 1]), len(s)]
+        return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+
+    def keys(self) -> Iterator[frozenset[tuple[int, int]]]:
+        """The edges with each vertex renumbered by its colour rank, under
+        each order that permutes only vertices of equal colour (there are
+        ``prod(len(tie)!)``), the entry's own order first."""
+        order, ties = self.order, self.ties
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        for ranks in product(*map(permutations, ties)):
+            for tie, permuted in zip(ties, ranks):
+                for r, q in zip(tie, permuted):
+                    rank[order[r]] = q
+            yield frozenset([(rank[u], rank[v]) for u, v in self.pattern.edges])
 
 
 def _entry(pattern: LabeledGraph, built: dict, accepted: dict) -> _Entry:
     """The entry deciding ``pattern``, kept in ``built`` under its labels and
     edges: that of an equal graph built earlier at the level, else that of
-    the isomorphic accepted pattern in its signature bucket, else a new one.
-    With all-distinct colours an isomorphism maps each vertex to the one of
-    its colour, so equal keys decide; otherwise :func:`is_isomorphic` does."""
+    the isomorphic accepted pattern in its signature bucket (a dict from
+    each accepted pattern's own key), else a new one. An isomorphism maps
+    each vertex to one of the same colour, so the accepted pattern's order,
+    carried over, is one of the candidate's renumberings and gives the
+    same key. Up to ``_MAX_RENUMBERINGS`` the keys decide, above it
+    :func:`is_isomorphic` does."""
     graph = pattern.labels, pattern.edges
     if graph not in built:
         new = _Entry(pattern, *_signature(pattern))
-        bucket = accepted.get(new.signature, ())
-        if bucket and len(set(new.signature)) == pattern.n:
-            match = (e for e in bucket if e.key == new.key)
+        bucket = accepted.get(new.signature, {})
+        if bucket and prod(factorial(len(t)) for t in new.ties) <= _MAX_RENUMBERINGS:
+            match = (bucket[key] for key in new.keys() if key in bucket)
         else:
-            match = (e for e in bucket if is_isomorphic(e.pattern, pattern))
+            match = (e for e in bucket.values() if is_isomorphic(e.pattern, pattern))
         built[graph] = next(match, new)
     return built[graph]
 
@@ -290,7 +324,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         built: dict[tuple, _Entry] = {}  # by (labels, edges)
-        accepted: dict[tuple, list[_Entry]] = {}
+        accepted: dict[tuple, dict[frozenset, _Entry]] = {}
         below, level = level, {}
         for subset in candidate_subsets(template, size):
             known = [below.get(subset[:i] + subset[i + 1 :], ()) for i in range(size)]
@@ -319,7 +353,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 )
             )
             t_prev = now
-            accepted.setdefault(entry.signature, []).append(entry)
+            accepted.setdefault(entry.signature, {})[next(entry.keys())] = entry
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
         if all(m is None for m in level.values()):

@@ -98,6 +98,20 @@ def bijection_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return False
 
 
+def adjacency_signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
+    """Reference for ``miner._signature``: the same round of colour
+    refinement, read from the graph's adjacency and degree tables. Each
+    vertex's (label, out-degree, in-degree), extended by the sorted colours
+    of its out- and in-neighbours; returns the sorted colours and the
+    vertices in that order."""
+    out, inn = g.out_adj, g.in_adj
+    colour = tuple(zip(g.labels, g.out_degree, g.in_degree)).__getitem__
+    colours = [(colour(v), tuple(sorted(map(colour, out[v]))),
+                tuple(sorted(map(colour, inn[v])))) for v in range(g.n)]
+    order = sorted(range(g.n), key=colours.__getitem__)
+    return tuple(map(colours.__getitem__, order)), order
+
+
 def random_graph(
     rng: random.Random,
     n: int,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from patmine.morphism import count_covered
 
 from oracles import (
     BRUTE_FORCE_MAX_PATTERN,
+    adjacency_signature,
     bijection_isomorphic,
     brute_force_homomorphisms,
     exhaustive_pattern_classes,
@@ -108,13 +110,20 @@ class TestIsValidPattern:
         assert ok
 
 
+def renumberings(signature):
+    """Orders that permute only vertices of equal colour: the product of
+    the factorials of the colour classes' sizes."""
+    return math.prod(map(math.factorial, Counter(signature).values()))
+
+
 def decided_by(monkeypatch, dataset, cfg):
     """Mine ``dataset`` and return the results and, for each candidate
     that ``miner._entry`` settled with another pattern's entry, in scan
     order: (candidate, that entry, path). The path is the step that
     decides it: "equal" when a graph with the same labels and edges was
-    built earlier at the level, else "key" (colour-rank key) when the
-    signature's colours are all distinct, else "search" (``is_isomorphic``)."""
+    built earlier at the level, else "key" (renumbered colour-rank keys)
+    when the colouring has at most ``miner._MAX_RENUMBERINGS``
+    renumberings, else "search" (``is_isomorphic``)."""
     shared = []
     real = patmine.miner._entry
 
@@ -122,9 +131,8 @@ def decided_by(monkeypatch, dataset, cfg):
         equal = (pattern.labels, pattern.edges) in built
         entry = real(pattern, built, accepted)
         if entry.pattern is not pattern:
-            sig = entry.signature
-            path = ("equal" if equal else
-                    "key" if len(set(sig)) == len(sig) else "search")
+            above = renumberings(entry.signature) > patmine.miner._MAX_RENUMBERINGS
+            path = "equal" if equal else "search" if above else "key"
             shared.append((pattern, entry, path))
         return entry
 
@@ -177,17 +185,23 @@ class TestTemplateOccurrences:
     def test_equals_brute_force_isomorphic_subsets(self, monkeypatch):
         # Each level emits the lexicographically first subset of every
         # isomorphism class, and blocks exactly the rest of the class.
-        # All three ways of finding the blocking pattern occur.
+        # All three ways of finding the blocking pattern occur: the random
+        # templates' subsets of up to 4 vertices have at most 4! = 24
+        # renumberings, while two one-label directed 5-cycles, numbered
+        # along the cycle and in steps of 2, have 5! = 120, above the bound.
         rng = random.Random(53)
         checked = 0
         paths = Counter()
-        for trial in range(24):
-            t = random_graph(
-                rng, rng.randrange(4, 8), edge_prob=0.5,
-                undirected=trial % 2 == 0, loops=trial % 4 >= 2,
-            )
-            occ = occurrences(monkeypatch, t, 1, 4, paths)
-            for k in range(1, 5):
+        templates = [(random_graph(
+            rng, rng.randrange(4, 8), edge_prob=0.5,
+            undirected=trial % 2 == 0, loops=trial % 4 >= 2,
+        ), 4) for trial in range(24)]
+        cycles = build_graph(10, [(v, (v + 1) % 5) for v in range(5)]
+                             + [(5 + v, 5 + (v + 2) % 5) for v in range(5)],
+                             "a" * 10, False)
+        for t, top in [*templates, (cycles, 5)]:
+            occ = occurrences(monkeypatch, t, 1, top, paths)
+            for k in range(1, top + 1):
                 classes: list[list[tuple[int, ...]]] = []
                 for s in itertools.combinations(range(t.n), k):
                     g = induced_subgraph(t, s)
@@ -297,25 +311,47 @@ class TestOccurrenceSignature:
                         for s in group}
                 assert len(sigs) == 1
 
-    def test_rank_key_decides_isomorphism_of_discrete_colourings(self):
-        # Same-level subsets with equal signatures and all-distinct colours:
-        # equal colour-rank keys exactly when a bijection maps one onto the
-        # other. Random templates rarely hold a non-isomorphic such pair, so
-        # the seeded templates put a 7-vertex graph with all-distinct
-        # colours beside a colour-preserving edge swap of itself: three
-        # each directed and undirected, with and without self-loops. Both
-        # outcomes must occur.
+    def test_signature_equals_the_adjacency_reference(self):
+        # The signature counts over the edge set; the reference reads the
+        # adjacency and degree tables. Same colours, same order, on seeded
+        # graphs with self-loops and isolated vertices, and on n = 0 and 1.
+        rng = random.Random(97)
+        graphs = [build_graph(0, [], [], False), build_graph(1, [], "a", False),
+                  build_graph(1, [(0, 0)], "b", False)]
+        graphs += [
+            random_graph(rng, rng.randrange(2, 9), edge_prob=(0.1, 0.3, 0.6)[trial % 3],
+                         undirected=trial % 2 == 0, loops=trial % 4 >= 2)
+            for trial in range(48)
+        ]
+        for g in graphs:
+            assert patmine.miner._signature(g) == adjacency_signature(g)
+        assert sum(any((v, v) in g.edges for v in range(g.n)) for g in graphs) > 5
+        assert sum(not all(g.sym_adj) for g in graphs) > 5
+
+    def test_rank_keys_decide_isomorphism_of_tied_and_discrete_colourings(self):
+        # Same-level subsets with equal signatures and at most
+        # _MAX_RENUMBERINGS renumberings: one subset's key is among the
+        # other's renumbered keys exactly when a bijection maps one onto
+        # the other. Random templates rarely hold a non-isomorphic such
+        # pair, so the seeded templates put a 7-vertex graph beside a
+        # colour-preserving edge swap of itself: three each with
+        # all-distinct and with tied colours, directed and undirected, with
+        # and without self-loops. Both outcomes must occur for both kinds.
+        bound = patmine.miner._MAX_RENUMBERINGS
         templates = list(SIGNATURE_TEMPLATES)
         for undirected, loops in itertools.product((True, False), repeat=2):
             rng = random.Random(89)
-            found = 0
-            while found < 3:
+            found = Counter()
+            for _ in range(5000):  # draws; at most 3,055 are needed
+                if found == {False: 3, True: 3}:
+                    break
                 g = random_graph(rng, 7, undirected=undirected, loops=loops)
-                sig, _ = patmine.miner._signature(g)
-                union = switched_union(g) if len(set(sig)) == g.n else None
-                if union is not None:
+                count = renumberings(patmine.miner._signature(g)[0])
+                union = switched_union(g) if count <= bound else None
+                if union is not None and found[count > 1] < 3:
                     templates.append(union)
-                    found += 1
+                    found[count > 1] += 1
+            assert found == {False: 3, True: 3}, (undirected, loops, found)
         outcomes = Counter()
         for t in templates:
             for k in range(1, min(t.n, 7) + 1):
@@ -323,22 +359,48 @@ class TestOccurrenceSignature:
                 for s in patmine.miner._connected_ksubsets(t, k):
                     g = induced_subgraph(t, s)
                     entry = patmine.miner._Entry(g, *patmine.miner._signature(g))
-                    if len(set(entry.signature)) == k:
-                        groups.setdefault(entry.signature, []).append((g, entry.key))
+                    if renumberings(entry.signature) <= bound:
+                        groups.setdefault(entry.signature, []).append((g, entry))
                 for group in groups.values():
-                    for (a, key_a), (b, key_b) in itertools.combinations(group, 2):
+                    for (a, ea), (b, eb) in itertools.combinations(group, 2):
                         same = bijection_isomorphic(a, b)
-                        assert (key_a == key_b) == same
-                        outcomes[same] += 1
-        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+                        assert (next(ea.keys()) in set(eb.keys())) == same
+                        outcomes[same, renumberings(ea.signature) > 1] += 1
+        assert len(outcomes) == 4, outcomes
+
+    def test_search_decides_above_the_renumbering_bound(self, monkeypatch):
+        # A one-label directed 5-cycle has 5! = 120 renumberings, above the
+        # bound, so is_isomorphic decides: true against a renumbered copy,
+        # false against a 2-cycle beside a 3-cycle, which has the same
+        # signature.
+        cycle = build_graph(5, [(v, (v + 1) % 5) for v in range(5)], "a" * 5, False)
+        copy = build_graph(5, [(v, (v + 2) % 5) for v in range(5)], "a" * 5, False)
+        split = build_graph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)], "a" * 5, False)
+        accepted_entry = patmine.miner._Entry(cycle, *patmine.miner._signature(cycle))
+        assert renumberings(accepted_entry.signature) == 120
+        assert 120 > patmine.miner._MAX_RENUMBERINGS
+        accepted = {accepted_entry.signature: {next(accepted_entry.keys()): accepted_entry}}
+        verdicts = []
+        real = patmine.miner.is_isomorphic
+        monkeypatch.setattr(patmine.miner, "is_isomorphic",
+                            lambda g1, g2: verdicts.append(real(g1, g2)) or verdicts[-1])
+        for g, same in ((copy, True), (split, False)):
+            assert patmine.miner._signature(g)[0] == accepted_entry.signature
+            assert bijection_isomorphic(cycle, g) == same
+            entry = patmine.miner._entry(g, {}, accepted)
+            assert (entry is accepted_entry) == same
+            assert (entry.pattern is g) == (not same)
+        assert verdicts == [True, False]
 
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
         # 1,162 candidates are blocked. An equal graph built earlier decides
-        # 481 and the colour-rank key 419, without a search; the other 262
-        # get one is_isomorphic call each, none false.
+        # 481 and the renumbered colour-rank keys 681 (419 with all-distinct
+        # colours, one renumbering; 262 tied, with 2 to 12), without a
+        # search: is_isomorphic is never called.
         # One more candidate equals an earlier graph that failed N+ and
-        # shares its entry, unevaluated.
+        # shares its entry, unevaluated. No blocked candidate builds an
+        # adjacency or degree table.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
@@ -352,12 +414,16 @@ class TestOccurrenceSignature:
         monkeypatch.setattr(patmine.miner, "is_isomorphic", counted)
         results, shared = decided_by(monkeypatch, ds, config(max_pattern_size=6))
         emitted = {r.subset for r in results}
-        paths = Counter(path for _, entry, path in shared
-                        if entry.pattern.orig_ids in emitted)
+        blocked = [(c, entry, path) for c, entry, path in shared
+                   if entry.pattern.orig_ids in emitted]
         assert len(results) == 222
-        assert paths == {"equal": 481, "key": 419, "search": 262}
-        assert len(verdicts) == 262
-        assert all(verdicts)
+        assert Counter(path for _, _, path in blocked) == {"equal": 481, "key": 681}
+        keyed = Counter(renumberings(entry.signature) > 1
+                        for _, entry, path in blocked if path == "key")
+        assert keyed == {False: 419, True: 262}
+        assert verdicts == []
+        tables = {"out_adj", "in_adj", "sym_adj", "out_degree", "in_degree"}
+        assert not any(tables & c.__dict__.keys() for c, _, _ in blocked)
         rejected = [entry.pattern for _, entry, _ in shared
                     if entry.pattern.orig_ids not in emitted]
         assert len(rejected) == 1
