@@ -217,7 +217,8 @@ def _count_monolithic(
     order; ``misses`` is ignored by design.
 
     homowith_g is decided true before false; the true branch materializes a
-    homomorphism witness from the example's lazily enumerated stream, and a
+    homomorphism witness from the example's lazily enumerated stream (a
+    fresh :func:`iter_homomorphisms`, which plans its own order), and a
     conflict resumes the most recent stream for an alternative witness
     before flipping that decision to false. The only propagation is the
     cardinality bound (a prefix whose remaining examples cannot reach the

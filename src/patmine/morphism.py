@@ -27,10 +27,11 @@ class CoverageReport:
     per_example: tuple[tuple[int, bool], ...]
 
 
-def _plan(
-    pattern: LabeledGraph, target: LabeledGraph
-) -> tuple[list[int], list[list[tuple[int, bool]]], list[list[int]]] | None:
-    """Search order, back-edge checks and per-position target candidates.
+Order = tuple[list[int], list[list[tuple[int, bool]]]]
+
+
+def _order(pattern: LabeledGraph) -> Order:
+    """Search order and back-edge checks; they depend on the pattern alone.
 
     The order is connectivity-first: it starts at a vertex of maximum degree
     (distinct neighbours in the symmetric closure; a self-loop makes a
@@ -39,16 +40,9 @@ def _plan(
     id; each further component starts the same way among the vertices not
     yet placed. ``checks[i]`` lists the pattern edges between
     ``order[i]`` and earlier positions as (earlier_position, outgoing), where
-    outgoing means the edge runs order[i] -> order[j]. Candidates for a
-    pattern vertex share its label, have at least its in- and out-degree, and
-    carry a self-loop where it does. Returns None when no injective mapping
-    can exist: the pattern is larger than the target or some pattern vertex
-    has no candidate.
+    outgoing means the edge runs order[i] -> order[j]; a self-loop is a
+    candidate condition (:func:`_candidates`), not a check.
     """
-    if pattern.n > target.n:
-        return None
-    by_label = target.by_label
-
     n, sym_adj, out_adj, in_adj = (
         pattern.n, pattern.sym_adj, pattern.out_adj, pattern.in_adj
     )
@@ -56,7 +50,6 @@ def _plan(
     pos = [n] * n  # position in the order; n while not yet placed
     order: list[int] = []  # doubles as the BFS queue: order[i:] is pending
     checks: list[list[tuple[int, bool]]] = []
-    candidates: list[list[int]] = []
     for i in range(n):
         if i == len(order):  # the component is done: start the next one
             root = next(v for v in roots if pos[v] == n)
@@ -67,15 +60,28 @@ def _plan(
             if pos[w] == n:
                 pos[w] = len(order)
                 order.append(w)
-        # Earlier positions only; a self-loop is a candidate condition.
         checks.append(
             [(pos[w], True) for w in out_adj[v] if pos[w] < i]
             + [(pos[w], False) for w in in_adj[v] if pos[w] < i]
         )
+    return order, checks
+
+
+def _candidates(
+    pattern: LabeledGraph, target: LabeledGraph
+) -> list[list[int]] | None:
+    """Target candidates of each pattern vertex, by id: same label, at
+    least its in- and out-degree, a self-loop where it has one. None when
+    the pattern is larger than the target or a vertex has no candidate."""
+    if pattern.n > target.n:
+        return None
+    by_label = target.by_label
+    candidates: list[list[int]] = []
+    for v, label in enumerate(pattern.labels):
         self_loop = (v, v) in pattern.edges
         cand = [
             t
-            for t in by_label.get(pattern.labels[v], ())
+            for t in by_label.get(label, ())
             if target.out_degree[t] >= pattern.out_degree[v]
             and target.in_degree[t] >= pattern.in_degree[v]
             and (not self_loop or (t, t) in target.edges)
@@ -83,10 +89,12 @@ def _plan(
         if not cand:
             return None
         candidates.append(cand)
-    return order, checks, candidates
+    return candidates
 
 
-def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
+def iter_homomorphisms(
+    pattern: LabeledGraph, target: LabeledGraph, order: Order | None = None
+):
     """Yield every injective homomorphism, lazily.
 
     Pattern vertices are assigned in connectivity-first order and target
@@ -95,13 +103,15 @@ def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
     position), so its depth is not bounded by the interpreter's recursion
     limit. A pattern with no vertices has exactly one mapping, ``()``.
 
-    This is the witness stream consumed by the monolithic strategy's
-    chronological search, which resumes it to enumerate alternatives.
+    ``order`` is ``_order(pattern)``, built here if not given once every
+    pattern vertex has a candidate. The decomposed scan hands one order to
+    all its searches; each monolithic witness stream builds its own.
     """
-    plan = _plan(pattern, target)
-    if plan is None:
+    per_vertex = _candidates(pattern, target)
+    if per_vertex is None:
         return
-    order, checks, candidates = plan
+    order, checks = _order(pattern) if order is None else order
+    candidates = [per_vertex[v] for v in order]
     np = pattern.n
     edges_t = target.edges
     used = [False] * target.n
@@ -138,13 +148,15 @@ def iter_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
             i -= 1
 
 
-def find_homomorphism(pattern: LabeledGraph, target: LabeledGraph) -> Mapping | None:
+def find_homomorphism(
+    pattern: LabeledGraph, target: LabeledGraph, order: Order | None = None
+) -> Mapping | None:
     """First injective label/edge-preserving mapping, or None if none exists.
 
     The search is complete: None means no homomorphism exists. The result is
     the first mapping :func:`iter_homomorphisms` yields.
     """
-    return next(iter_homomorphisms(pattern, target), None)
+    return next(iter_homomorphisms(pattern, target, order), None)
 
 
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -175,19 +187,24 @@ def count_covered(
     example that lacks one of the pattern's directed edge-label pairs
     (:attr:`LabeledGraph.label_pairs`) is a miss without a search, since a
     homomorphism maps each edge onto an edge with the same two labels.
-    Every other example gets one :func:`find_homomorphism` call. Each miss
-    found is added to ``misses``; examples after the stop are not tested.
+    Every other example gets one :func:`find_homomorphism` call, and all
+    of them share one :func:`_order` of the pattern, built at the first
+    search. Each miss found is added to ``misses``; examples after the stop
+    are not tested.
     """
     if stop_at <= 0:
         return 0
     covered = 0
     pairs = pattern.label_pairs
+    order = None
     for ex in dataset.of_class(cls):
         gid = ex.graph_id
         if gid in misses:
             continue
         graph = ex.graph
-        if pairs <= graph.label_pairs and find_homomorphism(pattern, graph) is not None:
+        if pairs <= graph.label_pairs and find_homomorphism(
+            pattern, graph, order or (order := _order(pattern))
+        ) is not None:
             covered += 1
             if covered >= stop_at:
                 break

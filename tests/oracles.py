@@ -22,7 +22,7 @@ from patmine import (
     build_graph,
     induced_subgraph,
 )
-from patmine.morphism import _plan
+from patmine.morphism import _candidates, _order
 
 BRUTE_FORCE_MAX_PATTERN = 8
 
@@ -199,14 +199,15 @@ def exhaustive_pattern_classes(
 
 
 def recursive_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
-    """Every injective homomorphism, by plain recursion over the plan of
-    :func:`patmine.morphism.iter_homomorphisms`: the reference for the
-    kernel's mappings and their order (depth bounded by the recursion
-    limit)."""
-    plan = _plan(pattern, target)
-    if plan is None:
+    """Every injective homomorphism, by plain recursion over the order,
+    checks and candidates of :func:`patmine.morphism.iter_homomorphisms`:
+    the reference for the kernel's mappings and their order (depth bounded
+    by the recursion limit)."""
+    per_vertex = _candidates(pattern, target)
+    if per_vertex is None:
         return
-    order, checks, candidates = plan
+    order, checks = _order(pattern)
+    candidates = [per_vertex[v] for v in order]
     np = pattern.n
     assigned: list[int] = []
     used = [False] * target.n

@@ -725,9 +725,9 @@ def skipped_searches(monkeypatch, dataset, cfg):
     real_count = patmine.miner.count_covered
     real_find = patmine.morphism.find_homomorphism
 
-    def find(pattern, target):
+    def find(pattern, target, order=None):
         searched.append(target)
-        return real_find(pattern, target)
+        return real_find(pattern, target, order)
 
     def recorded(pattern, ds, cls, stop_at, misses):
         searched.clear()
@@ -791,8 +791,9 @@ class TestKnownMisses:
         finds, streams = [], []
         real_find = patmine.morphism.find_homomorphism
         real_iter = patmine.miner.iter_homomorphisms
-        monkeypatch.setattr(patmine.morphism, "find_homomorphism",
-                            lambda p, t: finds.append(1) or real_find(p, t))
+        monkeypatch.setattr(
+            patmine.morphism, "find_homomorphism",
+            lambda p, t, order=None: finds.append(1) or real_find(p, t, order))
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
@@ -813,7 +814,7 @@ class TestEdgeLabelTest:
             finds = []
             real = patmine.morphism.find_homomorphism
             mp.setattr(patmine.morphism, "find_homomorphism",
-                       lambda p, t: finds.append(1) or real(p, t))
+                       lambda p, t, order=None: finds.append(1) or real(p, t, order))
             results = [
                 [(r.subset, r.positive_covered, r.negative_covered)
                  for r in mine(ds, MiningConfig(

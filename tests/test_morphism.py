@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -18,7 +18,7 @@ from patmine import (
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
-from patmine.morphism import _plan, count_covered, iter_homomorphisms
+from patmine.morphism import _candidates, _order, count_covered, iter_homomorphisms
 
 from oracles import (
     PatternTooLarge,
@@ -214,9 +214,20 @@ class TestIterHomomorphisms:
 
 
 class TestPlan:
-    """``_plan`` against the rule its docstring states, computed here from
-    the raw edge set. The recursive reference walks ``_plan`` itself, so only
-    this test sees a change of the order."""
+    """``_order`` and ``_candidates`` against the rules their docstrings
+    state, computed here from the raw edge set. The recursive reference
+    walks them itself, so only this test sees a change of the order."""
+
+    @staticmethod
+    def split_plan(pattern, target):
+        """``_order`` and ``_candidates`` as (order, checks, candidates by
+        position), the shape of :meth:`reference_plan`; None where
+        ``_candidates`` is None."""
+        per_vertex = _candidates(pattern, target)
+        if per_vertex is None:
+            return None
+        order, checks = _order(pattern)
+        return order, checks, [per_vertex[v] for v in order]
 
     @staticmethod
     def reference_plan(pattern, target):
@@ -275,7 +286,7 @@ class TestPlan:
                     other = random_graph(rng, rng.randrange(1, 10), **kind)
                     for target in (pattern, other):
                         expected = self.reference_plan(pattern, target)
-                        plan = _plan(pattern, target)
+                        plan = self.split_plan(pattern, target)
                         if expected is None:
                             assert plan is None
                             continue
@@ -322,9 +333,9 @@ class TestCaches:
         for pattern, targets in self.instances(83):
             # The second pass plans against targets whose caches are warm.
             for target in targets + targets:
-                plan = _plan(pattern, target)
+                plan = TestPlan.split_plan(pattern, target)
                 fresh_p, fresh_t = self.fresh(pattern), self.fresh(target)
-                assert plan == _plan(fresh_p, fresh_t)
+                assert plan == TestPlan.split_plan(fresh_p, fresh_t)
                 want = TestPlan.reference_plan(pattern, target)
                 if want is None:
                     assert plan is None
@@ -371,6 +382,95 @@ class TestCaches:
                 assert g == copy and copy == g and hash(g) == hash(copy)
                 assert {copy: True}[g]
 
+
+class TestHandedOrder:
+    """The decomposed scan builds the pattern's order once and hands it to
+    each search; a search not handed one builds it only after every pattern
+    vertex has a candidate."""
+
+    @staticmethod
+    def instances(seed):
+        """Seeded (pattern, eight targets), directed and undirected, with
+        and without self-loops, with n = 0 among the patterns."""
+        rng = random.Random(seed)
+        for undirected in (True, False):
+            for loops in (False, True):
+                kind = dict(undirected=undirected, loops=loops)
+                for _ in range(30):
+                    pattern = random_graph(rng, rng.randrange(0, 5), **kind)
+                    yield pattern, [
+                        random_graph(rng, rng.randrange(0, 8), **kind)
+                        for _ in range(8)
+                    ]
+
+    @staticmethod
+    def counting_order(monkeypatch):
+        calls = []
+        real = patmine.morphism._order
+        monkeypatch.setattr(patmine.morphism, "_order",
+                            lambda p: calls.append(p) or real(p))
+        return calls
+
+    def test_handed_order_changes_no_result(self):
+        found = empty = 0
+        for pattern, targets in self.instances(103):
+            empty += pattern.n == 0
+            order = _order(pattern)
+            for target in targets:
+                first = find_homomorphism(pattern, target)
+                assert find_homomorphism(pattern, target, order) == first
+                assert list(iter_homomorphisms(pattern, target, order)) == list(
+                    iter_homomorphisms(pattern, target)
+                )
+                found += first is not None
+        assert found > 100 and empty > 0
+
+    def test_scan_matches_fresh_searches(self, monkeypatch):
+        # count_covered against a loop of fresh searches, each building its
+        # own order; the scan builds one order, only if it searches at all.
+        rng = random.Random(107)
+        calls = self.counting_order(monkeypatch)
+        covered, scans = 0, Counter()
+        for pattern, targets in self.instances(109):
+            stop_at = rng.randrange(1, len(targets) + 1)
+            hits = [find_homomorphism(pattern, t) is not None for t in targets]
+            known = {i for i, hit in enumerate(hits) if not hit and rng.random() < 0.5}
+            want, want_misses, searched = 0, set(known), False
+            for i, hit in enumerate(hits):
+                if i in known:
+                    continue
+                searched |= pattern.label_pairs <= targets[i].label_pairs
+                if not hit:
+                    want_misses.add(i)
+                    continue
+                want += 1
+                if want >= stop_at:
+                    break
+            calls.clear()
+            misses = set(known)
+            ds = labelled_dataset(*targets)
+            count = count_covered(pattern, ds, ExampleClass.POSITIVE, stop_at, misses)
+            assert (count, misses) == (want, want_misses)
+            assert len(calls) == searched
+            covered += count
+            scans[searched] += 1
+        assert covered > 100 and scans[True] > 50 and scans[False] > 0
+
+    def test_no_order_without_a_search(self, monkeypatch):
+        calls = self.counting_order(monkeypatch)
+        ab = build_graph(2, [(0, 1)], ["a", "b"], True)
+        aa_b = build_graph(3, [(0, 1)], ["a", "a", "b"], True)
+        ds = labelled_dataset(ab, aa_b, aa_b)
+        # Example 0 is a known miss, 1 and 2 lack the a-b edge label pair.
+        misses = {0}
+        assert count_covered(ab, ds, ExampleClass.POSITIVE, 3, misses) == 0
+        assert misses == {0, 1, 2} and calls == []
+        # A target lacking one of the pattern's labels ends the stream
+        # before any order work, which keeps monolithic quick misses cheap.
+        ac = build_graph(2, [(0, 1)], ["a", "c"], True)
+        assert list(iter_homomorphisms(ac, aa_b)) == [] and calls == []
+        assert find_homomorphism(ac, aa_b) is None and calls == []
+        assert list(iter_homomorphisms(ab, ab)) == [(0, 1)] and len(calls) == 1
 
 class TestDeepInputs:
     """A 1,200-vertex path is deeper than the default recursion limit, so a
