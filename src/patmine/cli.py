@@ -1,7 +1,9 @@
 """Command-line interface: mine, check, bench, encode, gen.
 
 Exit codes: 0 success, 1 usage/config/parse errors or failed validation,
-2 internal invariant violations and I/O errors where specified.
+2 internal invariant violations and I/O errors. Every input or argument the
+library rejects raises a ``ValueError``; ``main`` turns each into exit 1
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .dataio import (
-    GraphFileError,
-    DatasetLoadError,
-    InfeasibleEdgeTarget,
     SynthParams,
     build_dataset,
     gen_synthetic,
@@ -31,7 +30,7 @@ from .dataio import (
     write_patterns,
 )
 from .demo import demo_dataset
-from .encoder import EmptyDataset, emit_asp, emit_idp
+from .encoder import emit_asp, emit_idp
 from .graphs import Dataset, ExampleClass, induced_subgraph, is_connected
 from .miner import MiningConfig, Strategy, mine
 from .morphism import coverage
@@ -69,12 +68,15 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
-    """Write through a temporary file beside the target, then rename it over
-    the target: a failed write leaves no truncated output and no temp file.
-    An existing target that is not a regular file (a device such as
-    /dev/stdout, a FIFO, a directory) is written in place, because a rename
-    would replace it."""
+def _write(path: str | None, text: str) -> None:
+    """Write to stdout without a path. Otherwise write through a temporary
+    file beside the target, then rename it over the target: a failed write
+    leaves no truncated output and no temp file. An existing target that is
+    not a regular file (a device such as /dev/stdout, a FIFO, a directory)
+    is written in place, because a rename would replace it."""
+    if not path:
+        sys.stdout.write(text)
+        return
     target = Path(path)
     tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
@@ -101,36 +103,44 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         n_pos = math.ceil(args.npos_frac * positives)
     if n_pos is None:
         n_pos = 1
-    try:
-        return build_dataset(blocks, n_pos, args.nneg)
-    except (DatasetLoadError, ValueError) as exc:
-        raise CliError(str(exc))
+    return build_dataset(blocks, n_pos, args.nneg)
 
 
 def _mining_config(
     args: argparse.Namespace, dataset: Dataset, strategy: Strategy
 ) -> MiningConfig:
-    try:
-        return MiningConfig(
-            n_pos_threshold=dataset.n_pos_threshold,
-            n_neg_threshold=dataset.n_neg_threshold,
-            min_pattern_size=args.min_size,
-            max_pattern_size=args.max_size,
-            max_patterns=args.max_patterns,
-            strategy=strategy,
+    return MiningConfig(
+        n_pos_threshold=dataset.n_pos_threshold,
+        n_neg_threshold=dataset.n_neg_threshold,
+        min_pattern_size=args.min_size,
+        max_pattern_size=args.max_size,
+        max_patterns=args.max_patterns,
+        strategy=strategy,
+    )
+
+
+def _preset(name: str, seed: int, others: str = "") -> Dataset:
+    """The synthetic dataset of preset ``name`` at ``seed``; ``others`` ends
+    the list of valid names in the error for an unknown one."""
+    if name not in PRESETS:
+        raise CliError(
+            f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}{others}"
         )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return gen_synthetic(dataclasses.replace(PRESETS[name], seed=seed))
 
 
 def _print_dataset_summary(dataset: Dataset) -> None:
     n_pos = len(dataset.positives())
     n_neg = len(dataset.negatives())
     t = dataset.template
-    und = len({(min(u, v), max(u, v)) for u, v in t.edges})
+    # One edge per 'e' line: an undirected edge is stored in both directions.
+    edges = (
+        len({(min(u, v), max(u, v)) for u, v in t.edges})
+        if t.undirected_input else len(t.edges)
+    )
     print(
         f"dataset: {len(dataset.examples)} examples ({n_pos} positive, "
-        f"{n_neg} negative), template {t.n} vertices / {und} edges, "
+        f"{n_neg} negative), template {t.n} vertices / {edges} edges, "
         f"{len(dataset.label_universe())} label(s)"
     )
 
@@ -208,10 +218,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         pos_rep = coverage(pattern, dataset, ExampleClass.POSITIVE)
         neg_rep = coverage(pattern, dataset, ExampleClass.NEGATIVE)
-        for gid, hit in pos_rep.per_example:
-            print(f"  example {gid} (pos): homomorphism {'yes' if hit else 'no'}")
-        for gid, hit in neg_rep.per_example:
-            print(f"  example {gid} (neg): homomorphism {'yes' if hit else 'no'}")
+        for tag, rep in (("pos", pos_rep), ("neg", neg_rep)):
+            for gid, hit in rep.per_example:
+                print(f"  example {gid} ({tag}): homomorphism {'yes' if hit else 'no'}")
         if pos_rep.positive_covered < dataset.n_pos_threshold:
             print(
                 f"invalid: positive coverage {pos_rep.positive_covered} < "
@@ -234,22 +243,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
     if args.synth:
         seed = _effective_seed(args.seed)
-        if args.synth == "demo":
-            dataset = demo_dataset()
-        elif args.synth in PRESETS:
-            dataset = gen_synthetic(dataclasses.replace(PRESETS[args.synth], seed=seed))
-        else:
-            raise CliError(
-                f"unknown preset {args.synth!r}; choose from "
-                f"{', '.join(sorted(PRESETS))} or demo"
-            )
+        synth = args.synth
+        dataset = demo_dataset() if synth == "demo" else _preset(synth, seed, " or demo")
         npos = dataset.n_pos_threshold if args.npos is None else args.npos
-        try:
-            dataset = dataclasses.replace(
-                dataset, n_pos_threshold=npos, n_neg_threshold=args.nneg
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
+        dataset = dataclasses.replace(
+            dataset, n_pos_threshold=npos, n_neg_threshold=args.nneg
+        )
         return dataset, args.synth, seed
     if not args.examples:
         raise CliError("either --synth or --examples is required")
@@ -260,11 +259,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise CliError("--repeats must be >= 1")
     dataset, tag, seed = _bench_dataset(args)
-    strategies = {
-        "both": [Strategy.DECOMPOSED, Strategy.MONOLITHIC],
-        "decomposed": [Strategy.DECOMPOSED],
-        "monolithic": [Strategy.MONOLITHIC],
-    }[args.strategies]
+    both = args.strategies == "both"
+    strategies = list(Strategy) if both else [Strategy(args.strategies)]
     configs = [_mining_config(args, dataset, strategy) for strategy in strategies]
 
     _print_dataset_summary(dataset)
@@ -287,7 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 rows.append((name, res.index, res.elapsed_ms, tag, seed))
                 per_index.setdefault(res.index, []).append(res.elapsed_ms)
 
-    if len(strategies) == 2 and emitted["decomposed"] != emitted["monolithic"]:
+    if both and emitted["decomposed"] != emitted["monolithic"]:
         raise CliError("strategies disagree on the emitted patterns", code=2)
 
     for name, per_index in times.items():
@@ -295,7 +291,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rendered = " ".join(f"{i}:{m:.1f}ms" for i, m in medians.items())
         print(f"{name} median per-index: {rendered}")
 
-    if len(strategies) == 2:
+    if both:
         dec = [r[2] for r in rows if r[0] == "decomposed"]
         mono = [r[2] for r in rows if r[0] == "monolithic"]
         if dec and mono:
@@ -309,47 +305,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
-    try:
-        text = emit_asp(dataset) if args.target == "asp" else emit_idp(dataset)
-    except EmptyDataset as exc:
-        raise CliError(str(exc))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit_asp(dataset) if args.target == "asp" else emit_idp(dataset))
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     seed = _effective_seed(args.seed)
     if args.preset:
-        base = PRESETS.get(args.preset)
-        if base is None:
-            raise CliError(f"unknown preset {args.preset!r}")
-        params = dataclasses.replace(base, seed=seed)
+        dataset = _preset(args.preset, seed)
+    elif args.vertex_range is None:
+        raise CliError("--vertex-range is required without --preset")
     else:
-        if args.vertex_range is None:
-            raise CliError("--vertex-range is required without --preset")
-        try:
-            params = SynthParams(
-                args.n_graphs,
-                (args.vertex_range[0], args.vertex_range[1]),
-                args.avg_edges,
-                args.n_labels,
-                args.positive_fraction,
-                seed,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
-    try:
-        dataset = gen_synthetic(params)
-    except InfeasibleEdgeTarget as exc:
-        raise CliError(str(exc))
-    text = write_graphs(dataset)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        dataset = gen_synthetic(SynthParams(
+            args.n_graphs,
+            (args.vertex_range[0], args.vertex_range[1]),
+            args.avg_edges,
+            args.n_labels,
+            args.positive_fraction,
+            seed,
+        ))
+    _write(args.out, write_graphs(dataset))
     return 0
 
 
@@ -428,22 +403,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("mine", "check", "encode") and not args.examples:
+            parser.error("--examples is required")
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map those to exit 1, keep --help at 0.
         return 0 if exc.code == 0 else 1
-
-    try:
-        if args.command in ("mine", "check", "encode") and not args.examples:
-            parser.error("--examples is required")
-        return args.func(args)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (GraphFileError, EmptyDataset) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code if isinstance(exc, CliError) else 1
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone: point stdout at the null device so
+        # the interpreter's flush at exit fails no second time.
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

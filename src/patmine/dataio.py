@@ -20,7 +20,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._rng import SplitMix64
 from .graphs import (
@@ -211,29 +211,29 @@ def build_dataset(
     )
 
 
-def _edge_lines(graph: LabeledGraph, ids: list[int] | None = None) -> list[str]:
-    """Render edges; undirected graphs emit each edge once as 'u v' with u <= v."""
-    names = ids if ids is not None else list(range(graph.n))
+def _graph_lines(graph: LabeledGraph, ids: Sequence[int] | None = None) -> list[str]:
+    """Vertex then edge lines, vertex ``v`` named ``ids[v]`` (default ``v``);
+    undirected graphs emit each edge once as 'u v' with u <= v."""
+    names = graph.vertices() if ids is None else ids
     if graph.undirected_input:
         pairs = sorted({(min(u, v), max(u, v)) for u, v in graph.edges})
     else:
         pairs = sorted(graph.edges)
-    return [f"e {names[u]} {names[v]}" for u, v in pairs]
+    return [f"v {names[v]} {graph.labels[v]}" for v in graph.vertices()] + [
+        f"e {names[u]} {names[v]}" for u, v in pairs
+    ]
 
 
 def write_graphs(dataset: Dataset) -> str:
     """Serialize a dataset in the graph file format (template block first)."""
     mode = "undirected" if dataset.template.undirected_input else "directed"
     lines = [f"mode {mode}"]
-    lines.append("t # 0 template")
-    lines.extend(
-        f"v {v} {dataset.template.labels[v]}" for v in dataset.template.vertices()
-    )
-    lines.extend(_edge_lines(dataset.template))
-    for ex in dataset.examples:
-        lines.append(f"t # {ex.graph_id + 1} {ex.cls.value}")
-        lines.extend(f"v {v} {ex.graph.labels[v]}" for v in ex.graph.vertices())
-        lines.extend(_edge_lines(ex.graph))
+    blocks = [(0, "template", dataset.template)] + [
+        (ex.graph_id + 1, ex.cls.value, ex.graph) for ex in dataset.examples
+    ]
+    for block_id, tag, graph in blocks:
+        lines.append(f"t # {block_id} {tag}")
+        lines.extend(_graph_lines(graph))
     return "\n".join(lines) + "\n"
 
 
@@ -244,14 +244,11 @@ def write_patterns(results: list[MineResult]) -> str:
     """
     lines: list[str] = []
     for res in results:
-        g = res.pattern
-        ids = list(res.subset)
         lines.append(
-            f"p # {res.index} size={g.n} pos={res.positive_covered} "
+            f"p # {res.index} size={res.pattern.n} pos={res.positive_covered} "
             f"neg={res.negative_covered} time_ms={res.elapsed_ms:.3f}"
         )
-        lines.extend(f"v {ids[v]} {g.labels[v]}" for v in g.vertices())
-        lines.extend(_edge_lines(g, ids))
+        lines.extend(_graph_lines(res.pattern, res.subset))
         lines.append("")
     return "\n".join(lines) + "\n" if lines else ""
 

@@ -14,6 +14,7 @@ import patmine
 import patmine.cli
 from patmine import Strategy
 from patmine.cli import main
+from patmine.dataio import build_dataset, parse_graphs, write_graphs
 
 DEMO = "tests/fixtures/demo.graphs"
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(patmine.__file__).parents[1]))
@@ -65,6 +66,20 @@ class TestMine:
         blocks = parse_patterns(out_file.read_text())
         assert len(blocks) == 5
         assert all(b.size == 6 for b in blocks)
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_summary_counts_the_edge_lines_written(self, capsys, tmp_path, mode):
+        # An antiparallel pair is two edges only in a directed file.
+        path = tmp_path / "pair.graphs"
+        path.write_text(
+            f"mode {mode}\nt # 0 template\nv 0 a\nv 1 a\ne 0 1\ne 1 0\ne 1 1\n"
+            "t # 1 pos\nv 0 a\n"
+        )
+        code, out, _ = run(capsys, "mine", "--examples", str(path))
+        written = write_graphs(build_dataset(parse_graphs(path.read_text()), 1, 0))
+        edges = written.split("t # 1")[0].count("\ne ")
+        assert (code, edges) == (0, 3 if mode == "directed" else 2)
+        assert f"template 2 vertices / {edges} edges" in out.splitlines()[0]
 
     def test_max_patterns_zero(self, capsys):
         code, out, _ = run(
@@ -363,10 +378,13 @@ class TestBench:
         (["--min-size", "0"], "min_pattern_size must be >= 1"),
         (["--max-patterns", "-1"], "max_patterns must be non-negative"),
         (["--repeats", "0"], "--repeats must be >= 1"),
-    ], ids=["npos", "nneg", "min-size", "max-patterns", "repeats"])
+        (["--synth", "nope"], "unknown preset 'nope'; choose from yoshida, "
+                              "yoshida-50, yoshida-small or demo"),
+    ], ids=["npos", "nneg", "min-size", "max-patterns", "repeats", "synth"])
     def test_invalid_value_exits_one_without_traceback(self, flags, message):
         proc = run_process("bench", "--synth", "demo", "--repeats", "1", *flags)
         assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {message}\n"
 
     def test_strategies_emitting_different_patterns_exit_two(
@@ -490,4 +508,54 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["encode", "--target", "asp", "--examples", "{dir}/novertex.graphs"],
+         "template graph has no vertices"),
+        (["mine", "--examples", "{dir}/notemplate.graphs"],
+         "expected exactly one template block, found 0"),
+        (["gen", "--vertex-range", "5", "6", "--avg-edges", "2"],
+         "target_avg_edges 2 is below the spanning tree minimum 4 "
+         "for every vertex count in range"),
+        (["gen", "--vertex-range", "5", "6", "--n-labels", "0"],
+         "n_labels must be >= 1"),
+        (["gen", "--preset", "nope"],
+         "unknown preset 'nope'; choose from yoshida, yoshida-50, yoshida-small"),
+    ], ids=["encode-empty-template", "mine-no-template", "gen-avg-edges",
+            "gen-n-labels", "gen-preset"])
+    def test_library_rejection_exits_one(self, tmp_path, argv, message):
+        (tmp_path / "novertex.graphs").write_text(
+            "mode undirected\nt # 0 template\nt # 1 pos\nv 0 a\n"
+        )
+        (tmp_path / "notemplate.graphs").write_text("mode undirected\nt # 1 pos\nv 0 a\n")
+        proc = run_process(*(a.format(dir=tmp_path) for a in argv))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_any_value_error_exits_one(self, capsys, monkeypatch):
+        def reject(dataset, config):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(patmine.cli, "mine", reject)
+        code, _, err = run(capsys, "mine", "--examples", DEMO)
+        assert (code, err) == (1, "error: boom\n")
+
+    def test_closed_stdout_exits_two_with_one_line(self):
+        # The read end is closed before the process starts, so its first
+        # write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "patmine", "mine", "--examples", DEMO],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=SUBPROCESS_ENV, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout: ")
         assert proc.stderr.count("\n") == 1
