@@ -22,6 +22,7 @@ from . import __version__
 from .dataio import (
     SynthParams,
     build_dataset,
+    edge_lines,
     gen_synthetic,
     parse_graphs,
     parse_patterns,
@@ -133,14 +134,9 @@ def _print_dataset_summary(dataset: Dataset) -> None:
     n_pos = len(dataset.positives())
     n_neg = len(dataset.negatives())
     t = dataset.template
-    # One edge per 'e' line: an undirected edge is stored in both directions.
-    edges = (
-        len({(min(u, v), max(u, v)) for u, v in t.edges})
-        if t.undirected_input else len(t.edges)
-    )
     print(
         f"dataset: {len(dataset.examples)} examples ({n_pos} positive, "
-        f"{n_neg} negative), template {t.n} vertices / {edges} edges, "
+        f"{n_neg} negative), template {t.n} vertices / {len(edge_lines(t))} edges, "
         f"{len(dataset.label_universe())} label(s)"
     )
 

@@ -211,16 +211,19 @@ def build_dataset(
     )
 
 
-def _graph_lines(graph: LabeledGraph, ids: Sequence[int] | None = None) -> list[str]:
-    """Vertex then edge lines, vertex ``v`` named ``ids[v]`` (default ``v``);
-    undirected graphs emit each edge once as 'u v' with u <= v."""
-    names = graph.vertices() if ids is None else ids
+def edge_lines(graph: LabeledGraph) -> list[tuple[int, int]]:
+    """The (u, v) of each 'e' line written for ``graph``, ascending; an
+    undirected edge, stored in both directions, is written once with u <= v."""
     if graph.undirected_input:
-        pairs = sorted({(min(u, v), max(u, v)) for u, v in graph.edges})
-    else:
-        pairs = sorted(graph.edges)
+        return sorted({(min(u, v), max(u, v)) for u, v in graph.edges})
+    return sorted(graph.edges)
+
+
+def _graph_lines(graph: LabeledGraph, ids: Sequence[int] | None = None) -> list[str]:
+    """Vertex then edge lines, vertex ``v`` named ``ids[v]`` (default ``v``)."""
+    names = graph.vertices() if ids is None else ids
     return [f"v {names[v]} {graph.labels[v]}" for v in graph.vertices()] + [
-        f"e {names[u]} {names[v]}" for u, v in pairs
+        f"e {names[u]} {names[v]}" for u, v in edge_lines(graph)
     ]
 
 

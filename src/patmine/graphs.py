@@ -15,9 +15,9 @@ class cached_property:
     """``functools.cached_property`` without its first-access lock (taken
     before Python 3.12). Mining builds a fresh small graph per candidate;
     with functools, the first accesses were about a third of the cost of
-    building one with its adjacency and degree tables. Degrees are counted
+    building one with its adjacency table and degrees. Degrees are counted
     over the edges, so a graph that is only ever a search target, such as
-    an example graph, builds no adjacency tables."""
+    an example graph, builds no adjacency table."""
 
     def __init__(self, func):
         self.func = func
@@ -61,20 +61,6 @@ class LabeledGraph:
     labels: tuple[Label, ...]
     undirected_input: bool = False
     orig_ids: tuple[VertexId, ...] | None = field(default=None, compare=False)
-
-    @cached_property
-    def out_adj(self) -> tuple[tuple[VertexId, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[VertexId, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
     def sym_adj(self) -> tuple[tuple[VertexId, ...], ...]:
@@ -229,10 +215,11 @@ def induced_subgraph(g: LabeledGraph, subset: Iterable[VertexId]) -> LabeledGrap
         if not (0 <= v < g.n):
             raise VertexNotInGraph(f"vertex {v} not in graph of size {g.n}")
     remap = {old: new for new, old in enumerate(order)}
-    out_adj = g.out_adj
-    kept = frozenset(
-        [(remap[u], remap[v]) for u in order for v in out_adj[u] if v in remap]
-    )
+    sym_adj, edges = g.sym_adj, g.edges
+    kept = frozenset([
+        (remap[u], remap[v]) for u in order for v in sym_adj[u]
+        if v in remap and (u, v) in edges
+    ])
     return LabeledGraph(
         n=len(order),
         edges=kept,

@@ -40,30 +40,30 @@ def _order(pattern: LabeledGraph) -> Order:
     id; each further component starts the same way among the vertices not
     yet placed. ``checks[i]`` lists the pattern edges between
     ``order[i]`` and earlier positions as (earlier_position, outgoing), where
-    outgoing means the edge runs order[i] -> order[j]; a self-loop is a
-    candidate condition (:func:`_candidates`), not a check.
+    outgoing means the edge runs order[i] -> order[j]. They are read off the
+    edge set in one pass, in no particular order: a candidate must pass all
+    of them. A self-loop is a candidate condition (:func:`_candidates`), not
+    a check.
     """
-    n, sym_adj, out_adj, in_adj = (
-        pattern.n, pattern.sym_adj, pattern.out_adj, pattern.in_adj
-    )
+    n, sym_adj = pattern.n, pattern.sym_adj
     roots = iter(sorted(range(n), key=lambda v: (-len(sym_adj[v]), v)))
     pos = [n] * n  # position in the order; n while not yet placed
     order: list[int] = []  # doubles as the BFS queue: order[i:] is pending
-    checks: list[list[tuple[int, bool]]] = []
     for i in range(n):
         if i == len(order):  # the component is done: start the next one
             root = next(v for v in roots if pos[v] == n)
             pos[root] = i
             order.append(root)
-        v = order[i]
-        for w in sym_adj[v]:
+        for w in sym_adj[order[i]]:
             if pos[w] == n:
                 pos[w] = len(order)
                 order.append(w)
-        checks.append(
-            [(pos[w], True) for w in out_adj[v] if pos[w] < i]
-            + [(pos[w], False) for w in in_adj[v] if pos[w] < i]
-        )
+    checks: list[list[tuple[int, bool]]] = [[] for _ in order]
+    for u, v in pattern.edges:
+        if pos[u] > pos[v]:
+            checks[pos[u]].append((pos[v], True))
+        elif pos[v] > pos[u]:
+            checks[pos[v]].append((pos[u], False))
     return order, checks
 
 

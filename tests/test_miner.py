@@ -312,9 +312,10 @@ class TestOccurrenceSignature:
                 assert len(sigs) == 1
 
     def test_signature_equals_the_adjacency_reference(self):
-        # The signature counts over the edge set; the reference reads the
-        # adjacency and degree tables. Same colours, same order, on seeded
-        # graphs with self-loops and isolated vertices, and on n = 0 and 1.
+        # The signature counts over the edge set; the reference reads its
+        # own neighbour lists and the degree tables. Same colours, same
+        # order, on seeded graphs with self-loops and isolated vertices, and
+        # on n = 0 and 1.
         rng = random.Random(97)
         graphs = [build_graph(0, [], [], False), build_graph(1, [], "a", False),
                   build_graph(1, [(0, 0)], "b", False)]
@@ -422,7 +423,7 @@ class TestOccurrenceSignature:
                         for _, entry, path in blocked if path == "key")
         assert keyed == {False: 419, True: 262}
         assert verdicts == []
-        tables = {"out_adj", "in_adj", "sym_adj", "out_degree", "in_degree"}
+        tables = {"sym_adj", "out_degree", "in_degree"}
         assert not any(tables & c.__dict__.keys() for c, _, _ in blocked)
         rejected = [entry.pattern for _, entry, _ in shared
                     if entry.pattern.orig_ids not in emitted]
@@ -543,6 +544,50 @@ class TestMine:
         assert Counter({k: len(v) for k, v in mined_by_size.items()}) == Counter(
             {4: 2, 5: 3, 6: 5}
         )
+
+    @staticmethod
+    def directed_instances():
+        """Twelve seeded directed instances: templates of 4-6 vertices,
+        2-3 positive and 1-2 negative examples of 3-6 vertices, with
+        one-way and antiparallel edges, and self-loops in every other one."""
+        rng = random.Random(41)
+        for i in range(12):
+            kind = dict(undirected=False, loops=i % 2 == 1)
+            template = random_graph(rng, rng.randrange(4, 7), **kind)
+            classes = ([ExampleClass.POSITIVE] * rng.randrange(2, 4)
+                       + [ExampleClass.NEGATIVE] * rng.randrange(1, 3))
+            examples = tuple(
+                Example(gid, cls, random_graph(rng, rng.randrange(3, 7),
+                                               edge_prob=0.5, **kind))
+                for gid, cls in enumerate(classes)
+            )
+            yield Dataset(template, examples, rng.randrange(1, 3), rng.randrange(2))
+
+    def test_directed_instances_match_exhaustive_oracle(self):
+        # gen_synthetic makes only undirected datasets, so this is the one
+        # end-to-end check of directed back-edge checks and induced edges.
+        mined = Counter()
+        for ds in self.directed_instances():
+            oracle = exhaustive_pattern_classes(ds, 1, ds.template.n)
+            for strategy in Strategy:
+                results = mine(ds, config(ds.n_pos_threshold, ds.n_neg_threshold,
+                                          min_pattern_size=1, strategy=strategy))
+                by_size: dict[int, list] = {}
+                for res in results:
+                    by_size.setdefault(res.pattern.n, []).append(res.pattern)
+                    edges = res.pattern.edges
+                    mined["pattern"] += 1
+                    mined["antiparallel"] += any(
+                        u != v and (v, u) in edges for u, v in edges)
+                    mined["one-way"] += any((v, u) not in edges for u, v in edges)
+                    mined["self-loop"] += any(u == v for u, v in edges)
+                for size, expected in oracle.items():
+                    got = by_size.get(size, [])
+                    assert len(got) == len(expected), f"{strategy} size {size}"
+                    for g in got:
+                        assert any(bijection_isomorphic(g, e) for e in expected)
+        assert mined == {"pattern": 122, "antiparallel": 28, "one-way": 96,
+                         "self-loop": 66}
 
     def test_hexchord_among_size_six_results(self, dataset, template):
         results = mine(dataset, config(min_pattern_size=6, max_pattern_size=6))
@@ -839,9 +884,9 @@ class TestEdgeLabelTest:
 class TestExampleTables:
     """An example graph is only ever a search target. The scan reads its
     label pairs and the search its label index and degrees, so mining and
-    coverage build none of its adjacency tables."""
+    coverage build no adjacency table for it."""
 
-    ADJACENCY = {"out_adj", "in_adj", "sym_adj"}
+    ADJACENCY = {"sym_adj"}
 
     def instances(self):
         return desk_scale_instances() + [demo_dataset()]

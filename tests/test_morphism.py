@@ -303,13 +303,12 @@ class TestPlan:
 
 class TestCaches:
     """Each graph caches what every search into or from it reads: as a
-    pattern its adjacency and degree tables, as a target its per-label
+    pattern its adjacency table and degrees, as a target its per-label
     vertex index and degrees, and its edge-label pairs either way. The
     caches are read-only, so a graph with warm caches plans, searches and
     compares exactly as a fresh equal copy does."""
 
-    CACHED = ("by_label", "label_pairs", "out_adj", "in_adj", "sym_adj",
-              "out_degree", "in_degree")
+    CACHED = ("by_label", "label_pairs", "sym_adj", "out_degree", "in_degree")
 
     @staticmethod
     def fresh(g):

@@ -33,3 +33,48 @@ class TestCriterion6:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and ("--runs" in err or "checkouts" in err)
+
+
+class TestLoc:
+    # 8 lines, 3 of code: the import and the two lines of the assigned string.
+    INIT = '''"""Package
+docstring."""
+
+# a comment
+import os  # a trailing comment leaves the line code
+
+X = """an assigned string:
+not a docstring"""
+'''
+    # 14 lines, 5 of code: class, def, the later string, return, async def.
+    MODULE = '''class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring.
+        """
+        # an indented comment
+        "a string after the docstring is code"
+        return 1
+
+
+async def g():
+    """Async function docstring."""
+'''
+
+    def test_counts_a_package_with_known_lines(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "__init__.py").write_text(self.INIT)
+        (tmp_path / "sub" / "mod.py").write_text(self.MODULE)
+        (tmp_path / "notes.txt").write_text("not python\n")
+        tool = load_tool("loc")
+        assert tool.count(tmp_path) == (22, 8)
+        assert tool.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path}: 22 lines, 8 code lines\n"
+
+    def test_missing_directory_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load_tool("loc").main([str(tmp_path / "missing")])
+        assert exc.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
