@@ -39,7 +39,6 @@ from .miner import (
     is_valid_pattern,
     mine,
 )
-from .encoder import EmptyDataset, emit_asp, emit_idp
 from .dataio import (
     SynthParams,
     build_dataset,
@@ -87,3 +86,12 @@ __all__ = [
     "write_graphs",
     "write_patterns",
 ]
+
+
+def __getattr__(name: str):
+    """Load ``encoder`` on first use (PEP 562): mining never needs it."""
+    if name in ("EmptyDataset", "emit_asp", "emit_idp"):
+        from . import encoder
+
+        return getattr(encoder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

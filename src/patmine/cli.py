@@ -13,7 +13,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -30,8 +29,6 @@ from .dataio import (
     write_graphs,
     write_patterns,
 )
-from .demo import demo_dataset
-from .encoder import emit_asp, emit_idp
 from .graphs import Dataset, ExampleClass, induced_subgraph, is_connected
 from .miner import MiningConfig, Strategy, mine
 from .morphism import coverage
@@ -238,6 +235,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
     if args.synth:
+        from .demo import demo_dataset
+
         seed = _effective_seed(args.seed)
         synth = args.synth
         dataset = demo_dataset() if synth == "demo" else _preset(synth, seed, " or demo")
@@ -252,6 +251,8 @@ def _bench_dataset(args: argparse.Namespace) -> tuple[Dataset, str, int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import statistics
+
     if args.repeats < 1:
         raise CliError("--repeats must be >= 1")
     dataset, tag, seed = _bench_dataset(args)
@@ -300,6 +301,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .encoder import emit_asp, emit_idp
+
     dataset = _load_dataset(args)
     _write(args.out, emit_asp(dataset) if args.target == "asp" else emit_idp(dataset))
     return 0

@@ -14,15 +14,11 @@ dataset-wide. All parse errors carry a 1-based line number.
 
 from __future__ import annotations
 
-import csv
-import heapq
-import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ._rng import SplitMix64
 from .graphs import (
     Dataset,
     Example,
@@ -31,6 +27,9 @@ from .graphs import (
     build_graph,
 )
 from .miner import MineResult
+
+if TYPE_CHECKING:
+    from ._rng import SplitMix64
 
 CLASS_TAGS = ("pos", "neg", "template")
 
@@ -68,10 +67,9 @@ class InfeasibleEdgeTarget(ValueError):
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each line that is not blank or a
     '#' comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line.split()
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
 
 
 def _blocks(
@@ -144,10 +142,7 @@ def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
     if first is None:
         return []
     lineno, fields = first
-    if fields[0] != "mode" or len(fields) != 2 or fields[1] not in (
-        "directed",
-        "undirected",
-    ):
+    if fields[0] != "mode" or fields[1:] not in (["directed"], ["undirected"]):
         raise GraphSyntaxError("expected header 'mode directed|undirected'", lineno)
     undirected = fields[1] == "undirected"
 
@@ -168,14 +163,16 @@ def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
         seen_ids.add(block_id)
         vertices, edges = _body(body, dense=True)
         n = len(vertices)
+        pairs: set[tuple[int, int]] = set()
         for src, dst, line in edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise GraphSyntaxError(
                     f"edge ({src}, {dst}) outside vertex range 0..{n - 1}", line
                 )
-        graph = build_graph(
-            n, [(s, d) for s, d, _ in edges], vertices.values(), undirected
-        )
+            pairs.add((src, dst))
+            if undirected:
+                pairs.add((dst, src))
+        graph = LabeledGraph(n, frozenset(pairs), tuple(vertices.values()), undirected)
         blocks.append((block_id, tag, graph))
     return blocks
 
@@ -258,6 +255,7 @@ def write_patterns(results: list[MineResult]) -> str:
 
 @dataclass(frozen=True)
 class PatternBlock:
+    """One pattern block of a write_patterns file, as read back."""
     index: int
     size: int
     pos: int
@@ -306,6 +304,9 @@ def write_bench_csv(
     records: list[tuple[str, int, float, str, int]]
 ) -> str:
     """CSV with header strategy,index,elapsed_ms,dataset,seed; rows keep input order."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["strategy", "index", "elapsed_ms", "dataset", "seed"])
@@ -316,6 +317,7 @@ def write_bench_csv(
 
 @dataclass(frozen=True)
 class SynthParams:
+    """Parameters of gen_synthetic: graph count and sizes, edges, labels, seed."""
     n_graphs: int
     vertex_range: tuple[int, int]
     target_avg_edges: int
@@ -343,6 +345,8 @@ def _label_symbols(k: int) -> list[str]:
 
 def _random_tree(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled spanning tree via a Pruefer sequence."""
+    import heapq
+
     if n == 1:
         return []
     if n == 2:
@@ -392,6 +396,8 @@ def gen_synthetic(params: SynthParams) -> Dataset:
             f"target_avg_edges {params.target_avg_edges} is below the spanning "
             f"tree minimum {lo - 1} for every vertex count in range"
         )
+    from ._rng import SplitMix64
+
     rng = SplitMix64(params.seed)
     labels = _label_symbols(params.n_labels)
 

@@ -111,6 +111,7 @@ class ExampleClass(Enum):
 
 @dataclass(frozen=True)
 class Example:
+    """An example graph with its dataset-wide id and its class."""
     graph_id: int
     cls: ExampleClass
     graph: LabeledGraph

@@ -30,6 +30,7 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """Thresholds, pattern size limits and strategy of one mining run."""
     n_pos_threshold: int
     n_neg_threshold: int
     min_pattern_size: int = 2
@@ -53,6 +54,7 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class MineResult:
+    """One emitted pattern: its template subset, coverage and time."""
     index: int
     subset: tuple[int, ...]
     pattern: LabeledGraph

@@ -104,6 +104,55 @@ class TestParseGraphs:
         assert not g.undirected_input
 
 
+class TestReaderEdgeCases:
+    """Each file holds one template block. Its graph must equal
+    ``build_graph`` over the block's vertex and edge lines, and must survive
+    ``write_graphs`` and a second parse."""
+
+    CASES = {
+        "indented-comments": (
+            "  # spaces\nmode undirected\n\t# a tab\nt # 0 template\n"
+            " \t # both\nv 0 a\nv 1 b\n\t\t#e 0 0\ne 0 1\n",
+            ["a", "b"], [(0, 1)], True,
+        ),
+        "hash-in-label": (
+            "mode directed\nt # 0 template\nv 0 a#b\nv 1 #c\ne 1 0\n",
+            ["a#b", "#c"], [(1, 0)], False,
+        ),
+        "crlf": (
+            "mode undirected\r\nt # 0 template\r\nv 0 a\r\nv 1 b\r\n"
+            "\r\n# c\r\ne 1 0\r\n",
+            ["a", "b"], [(1, 0)], True,
+        ),
+        "form-feed": (
+            "mode directed\ft # 0 template\fv 0 a\f\fv 1 b\fe 0 1\f",
+            ["a", "b"], [(0, 1)], False,
+        ),
+        "undirected-duplicate-and-antiparallel": (
+            "mode undirected\nt # 0 template\nv 0 a\nv 1 a\nv 2 b\n"
+            "e 0 1\ne 0 1\ne 1 0\ne 2 1\ne 1 2\n",
+            ["a", "a", "b"], [(0, 1), (0, 1), (1, 0), (2, 1), (1, 2)], True,
+        ),
+        "directed-self-loops": (
+            "mode directed\nt # 0 template\nv 0 a\nv 1 b\ne 0 0\ne 0 1\ne 1 1\n",
+            ["a", "b"], [(0, 0), (0, 1), (1, 1)], False,
+        ),
+        "undirected-self-loops": (
+            "mode undirected\nt # 0 template\nv 0 a\nv 1 b\ne 0 0\ne 1 0\ne 1 1\n",
+            ["a", "b"], [(0, 0), (1, 0), (1, 1)], True,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_build_graph_and_round_trips(self, case):
+        text, labels, edges, undirected = self.CASES[case]
+        [(block_id, tag, graph)] = parse_graphs(text)
+        assert (block_id, tag) == (0, "template")
+        assert graph == build_graph(len(labels), edges, labels, undirected)
+        dataset = build_dataset([(block_id, tag, graph)], 0, 0)
+        assert build_dataset(parse_graphs(write_graphs(dataset)), 0, 0) == dataset
+
+
 class TestBuildDataset:
     def test_requires_exactly_one_template(self):
         blocks = parse_graphs("mode undirected\nt # 0 pos\nv 0 a\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,47 @@ class TestCriterion6:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and ("--runs" in err or "checkouts" in err)
+
+
+class TestSetupCost:
+    @pytest.mark.parametrize(("argv", "complaint"), [
+        (["--runs", "0", "{graphs}", "a"], "--runs"),
+        (["--runs", "-1", "{graphs}", "a", "b"], "--runs"),
+        (["{graphs}", "a", "b", "c"], "checkouts"),
+        (["{graphs}"], "checkouts"),
+        (["{missing}", "a"], "is not a file"),
+    ])
+    def test_bad_arguments_exit_two_without_a_run(
+        self, monkeypatch, capsys, tmp_path, argv, complaint
+    ):
+        graphs = tmp_path / "in.graphs"
+        graphs.write_text("mode undirected\n")
+        paths = {"graphs": graphs, "missing": tmp_path / "missing.graphs"}
+        tool = load_tool("setup_cost")
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was spawned")
+
+        monkeypatch.setattr(tool.subprocess, "run", no_process)
+        with pytest.raises(SystemExit) as exc:
+            tool.main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and complaint in err
+
+
+    def test_two_sides_of_one_checkout(self, capsys):
+        root = TOOLS.parent
+        demo = root / "tests" / "fixtures" / "demo.graphs"
+        tool = load_tool("setup_cost")
+        assert tool.main(["--runs", "2", str(demo), str(root), str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "load lower in" in lines[-2] and lines[-2].endswith("of 2 pairs")
+        sides = json.loads(lines[-1])
+        assert [side["checkout"] for side in sides] == [str(root)] * 2
+        for side in sides:
+            assert len(side["import_ms"]) == len(side["load_ms"]) == 2
+            assert all(0 < a < b for a, b in zip(side["import_ms"], side["load_ms"]))
 
 
 class TestLoc:
