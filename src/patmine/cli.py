@@ -29,7 +29,7 @@ from .dataio import (
     write_graphs,
     write_patterns,
 )
-from .graphs import Dataset, ExampleClass, induced_subgraph, is_connected
+from .graphs import Dataset, ExampleClass, build_graph, induced_subgraph, is_connected
 from .miner import MiningConfig, Strategy, mine
 from .morphism import coverage
 
@@ -195,15 +195,15 @@ def cmd_check(args: argparse.Namespace) -> int:
                 return 1
         pattern = induced_subgraph(template, subset)
         remap = {orig: dense for dense, orig in enumerate(pattern.orig_ids)}
-        claimed = set()
         for u, v in blk.edges:
             if u not in remap or v not in remap:
                 print(f"invalid: edge ({u}, {v}) uses an undeclared vertex")
                 return 1
-            claimed.add((remap[u], remap[v]))
-            if template.undirected_input:
-                claimed.add((remap[v], remap[u]))
-        if claimed != set(pattern.edges):
+        claimed = build_graph(
+            pattern.n, [(remap[u], remap[v]) for u, v in blk.edges],
+            pattern.labels, template.undirected_input,
+        )
+        if claimed != pattern:
             print("invalid: not induced (edge set differs from the induced subgraph)")
             return 1
         if not is_connected(pattern):

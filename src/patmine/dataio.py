@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graphs import (
     Dataset,
+    EdgeOutOfRange,
     Example,
     ExampleClass,
     LabeledGraph,
@@ -97,13 +98,14 @@ def _blocks(
 
 def _body(
     body: list[tuple[int, list[str]]], dense: bool
-) -> tuple[dict[int, str], list[tuple[int, int, int]]]:
-    """Vertices {vid: interned label} and edges [(src, dst, line)] of the
-    ``v <vid> <label>`` and ``e <src> <dst>`` lines of a block, read in file
-    order. Vertex ids must be distinct, and with ``dense`` must also run
-    0, 1, 2, ... in file order."""
+) -> tuple[dict[int, str], list[tuple[int, int]], list[int]]:
+    """Vertices {vid: interned label}, edges [(src, dst)] and each edge's
+    line number, of the ``v <vid> <label>`` and ``e <src> <dst>`` lines of a
+    block, read in file order. Vertex ids must be distinct, and with
+    ``dense`` must also run 0, 1, 2, ... in file order."""
     vertices: dict[int, str] = {}
-    edges: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    lines: list[int] = []
     for lineno, fields in body:
         kind = fields[0]
         if kind == "v":
@@ -129,10 +131,11 @@ def _body(
                 src, dst = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GraphSyntaxError("non-integer edge endpoint", lineno)
-            edges.append((src, dst, lineno))
+            edges.append((src, dst))
+            lines.append(lineno)
         else:
             raise GraphSyntaxError(f"unrecognized line kind {kind!r}", lineno)
-    return vertices, edges
+    return vertices, edges, lines
 
 
 def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
@@ -161,18 +164,12 @@ def parse_graphs(text: str) -> list[tuple[int, str, LabeledGraph]]:
         if block_id in seen_ids:
             raise DuplicateBlockId(f"duplicate block id {block_id}", lineno)
         seen_ids.add(block_id)
-        vertices, edges = _body(body, dense=True)
-        n = len(vertices)
-        pairs: set[tuple[int, int]] = set()
-        for src, dst, line in edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise GraphSyntaxError(
-                    f"edge ({src}, {dst}) outside vertex range 0..{n - 1}", line
-                )
-            pairs.add((src, dst))
-            if undirected:
-                pairs.add((dst, src))
-        graph = LabeledGraph(n, frozenset(pairs), tuple(vertices.values()), undirected)
+        vertices, edges, lines = _body(body, dense=True)
+        try:
+            graph = build_graph(len(vertices), edges, vertices.values(), undirected)
+        except EdgeOutOfRange as exc:
+            # The first equal pair is the one build_graph stopped at.
+            raise GraphSyntaxError(str(exc), lines[edges.index(exc.edge)])
         blocks.append((block_id, tag, graph))
     return blocks
 
@@ -278,7 +275,7 @@ def parse_patterns(text: str) -> list[PatternBlock]:
             pos, neg, time_ms = int(kv["pos"]), int(kv["neg"]), float(kv["time_ms"])
         except (KeyError, ValueError):
             raise GraphSyntaxError("malformed pattern header", lineno)
-        vertices, edges = _body(body, dense=False)
+        vertices, edges, _ = _body(body, dense=False)
         if not vertices:
             raise GraphSyntaxError("pattern block has no vertex lines", lineno)
         if size != len(vertices):
@@ -294,7 +291,7 @@ def parse_patterns(text: str) -> list[PatternBlock]:
                 time_ms=time_ms,
                 subset=tuple(sorted(vertices)),
                 labels=vertices,
-                edges=tuple((s, d) for s, d, _ in edges),
+                edges=tuple(edges),
             )
         )
     return out

@@ -17,7 +17,8 @@ class cached_property:
     with functools, the first accesses were about a third of the cost of
     building one with its adjacency table and degrees. Degrees are counted
     over the edges, so a graph that is only ever a search target, such as
-    an example graph, builds no adjacency table."""
+    an example graph, or a candidate that canonicity skips, builds no
+    adjacency table."""
 
     def __init__(self, func):
         self.func = func
@@ -35,7 +36,12 @@ class GraphError(ValueError):
 
 
 class EdgeOutOfRange(GraphError):
-    pass
+    """An edge names a vertex outside 0..n-1; ``edge`` is that (u, v)."""
+
+    def __init__(self, edge: tuple[VertexId, VertexId], n: int):
+        u, v = edge
+        super().__init__(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        self.edge = edge
 
 
 class LabelArityMismatch(GraphError):
@@ -72,18 +78,13 @@ class LabeledGraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def out_degree(self) -> tuple[int, ...]:
-        degree = [0] * self.n
-        for u, _ in self.edges:
-            degree[u] += 1
-        return tuple(degree)
-
-    @cached_property
-    def in_degree(self) -> tuple[int, ...]:
-        degree = [0] * self.n
-        for _, v in self.edges:
-            degree[v] += 1
-        return tuple(degree)
+    def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(out-degrees, in-degrees), counted in one pass over the edges."""
+        out, inn = [0] * self.n, [0] * self.n
+        for u, v in self.edges:
+            out[u] += 1
+            inn[v] += 1
+        return tuple(out), tuple(inn)
 
     @cached_property
     def by_label(self) -> dict[Label, tuple[VertexId, ...]]:
@@ -167,18 +168,17 @@ def build_graph(
     labels: Iterable[Label],
     undirected: bool,
 ) -> LabeledGraph:
-    """Construct a validated LabeledGraph.
-
-    With ``undirected=True`` the stored edge set is the symmetric closure of
-    the given pairs.
-    """
+    """Construct a validated LabeledGraph: the one rule that turns an edge
+    list into an edge set. The first edge outside 0..n-1, in the order
+    given, raises :class:`EdgeOutOfRange`. With ``undirected=True`` the
+    stored edge set is the symmetric closure of the given pairs."""
     label_tuple = tuple(labels)
     if len(label_tuple) != n:
         raise LabelArityMismatch(f"expected {n} labels, got {len(label_tuple)}")
     edge_set: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeOutOfRange(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            raise EdgeOutOfRange((u, v), n)
         edge_set.add((u, v))
         if undirected:
             edge_set.add((v, u))

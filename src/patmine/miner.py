@@ -114,14 +114,11 @@ def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """One round of colour refinement: each vertex's (label, out-degree,
     in-degree), extended by the sorted colours of its out- and
     in-neighbours. Returns the sorted colours, equal for isomorphic graphs,
-    and the vertices in that order. Counted over the edge set, so a
-    blocked candidate builds no adjacency or degree tables."""
+    and the vertices in that order. Counted over the edge set and the
+    graph's cached degrees, which its searches read too, so a blocked
+    candidate builds no adjacency table."""
     n, edges = g.n, g.edges
-    out_degree, in_degree = [0] * n, [0] * n
-    for u, v in edges:
-        out_degree[u] += 1
-        in_degree[v] += 1
-    colour = list(zip(g.labels, out_degree, in_degree))
+    colour = list(zip(g.labels, *g.degrees))
     out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in edges:
         out[u].append(colour[v])

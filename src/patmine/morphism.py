@@ -75,16 +75,16 @@ def _candidates(
     the pattern is larger than the target or a vertex has no candidate."""
     if pattern.n > target.n:
         return None
-    by_label = target.by_label
+    by_label, edges_p, edges_t = target.by_label, pattern.edges, target.edges
+    out_t, in_t = target.degrees
     candidates: list[list[int]] = []
-    for v, label in enumerate(pattern.labels):
-        self_loop = (v, v) in pattern.edges
+    for v, (label, out_v, in_v) in enumerate(zip(pattern.labels, *pattern.degrees)):
+        self_loop = (v, v) in edges_p
         cand = [
             t
             for t in by_label.get(label, ())
-            if target.out_degree[t] >= pattern.out_degree[v]
-            and target.in_degree[t] >= pattern.in_degree[v]
-            and (not self_loop or (t, t) in target.edges)
+            if out_t[t] >= out_v and in_t[t] >= in_v
+            and (not self_loop or (t, t) in edges_t)
         ]
         if not cand:
             return None

@@ -101,13 +101,13 @@ def bijection_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 def adjacency_signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """Reference for ``miner._signature``: the same round of colour
     refinement, read from out- and in-neighbour lists built here from the
-    edge set and the graph's degree tables. Each vertex's (label,
+    edge set and the graph's cached degrees. Each vertex's (label,
     out-degree, in-degree), extended by the sorted colours of its out- and
     in-neighbours; returns the sorted colours and the vertices in that
     order."""
     out = [[v for u, v in g.edges if u == x] for x in range(g.n)]
     inn = [[u for u, v in g.edges if v == x] for x in range(g.n)]
-    colour = tuple(zip(g.labels, g.out_degree, g.in_degree)).__getitem__
+    colour = tuple(zip(g.labels, *g.degrees)).__getitem__
     colours = [(colour(v), tuple(sorted(map(colour, out[v]))),
                 tuple(sorted(map(colour, inn[v])))) for v in range(g.n)]
     order = sorted(range(g.n), key=colours.__getitem__)

@@ -201,6 +201,28 @@ class TestCheck:
         assert code == 1
         assert "not induced" in out
 
+    # A directed template with an antiparallel pair 0 <-> 1, and one
+    # positive example that holds the pair.
+    DIRECTED = ("mode directed\nt # 0 template\nv 0 a\nv 1 a\nv 2 b\n"
+                "e 0 1\ne 1 0\ne 1 2\nt # 1 pos\nv 0 a\nv 1 a\ne 0 1\ne 1 0\n")
+
+    @pytest.mark.parametrize(("edges", "code", "last"), [
+        ("e 0 1\ne 1 0\n", 0, "  valid: pos=1>=1 neg=0<=0"),
+        ("e 0 1\ne 0 2\n", 1, "invalid: edge (0, 2) uses an undeclared vertex"),
+        ("e 0 1\n", 1,
+         "invalid: not induced (edge set differs from the induced subgraph)"),
+    ], ids=["antiparallel-pair", "undeclared-vertex", "one-edge-of-pair"])
+    def test_directed_pattern_edges(self, capsys, tmp_path, edges, code, last):
+        graphs = tmp_path / "directed.graphs"
+        graphs.write_text(self.DIRECTED)
+        pattern = tmp_path / "pair.pattern"
+        pattern.write_text("p # 1 size=2 pos=1 neg=0 time_ms=0.000\n"
+                           "v 0 a\nv 1 a\n" + edges)
+        got, out, _ = run(capsys, "check", "--pattern", str(pattern),
+                          "--examples", str(graphs), "--npos", "1", "--nneg", "0")
+        assert got == code
+        assert out.splitlines()[-1] == last
+
     def test_missing_pattern_file_is_io_error(self, capsys):
         code, _, err = run(
             capsys, "check", "--pattern", "no/such/file.pattern",

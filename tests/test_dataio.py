@@ -57,6 +57,17 @@ class TestParseGraphs:
             parse_graphs(text)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_repeated_out_of_range_edge_reports_its_first_line(self, mode):
+        # The bad edge comes after valid ones (one repeated, one reversed)
+        # and appears twice; the error names its first line.
+        text = (f"mode {mode}\nt # 0 pos\nv 0 a\nt # 1 template\nv 0 a\n"
+                "v 1 b\ne 0 1\ne 1 0\ne 0 1\ne 1 3\ne 1 1\ne 1 3\n")
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_graphs(text)
+        assert type(err.value) is GraphSyntaxError and err.value.line == 10
+        assert str(err.value) == "line 10: edge (1, 3) outside vertex range 0..1"
+
     def test_non_dense_vertex_ids(self):
         text = "mode undirected\nt # 0 template\nv 0 a\nv 2 a\n"
         with pytest.raises(NonDenseVertexIds) as err:

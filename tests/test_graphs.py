@@ -14,6 +14,8 @@ from patmine import (
     is_connected,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
+from patmine.miner import _signature
+from patmine.morphism import _candidates
 
 from oracles import (
     closure_reachable,
@@ -45,6 +47,22 @@ class TestBuildGraph:
         with pytest.raises(EdgeOutOfRange):
             build_graph(2, [(0, 2)], ["a", "a"], undirected=False)
 
+    @pytest.mark.parametrize(("n", "edges", "message"), [
+        (2, [(0, 1), (0, 2), (3, 0)], "edge (0, 2) outside vertex range 0..1"),
+        (3, [(1, 2), (-1, 0)], "edge (-1, 0) outside vertex range 0..2"),
+        (0, [(0, 0)], "edge (0, 0) outside vertex range 0..-1"),
+    ])
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_edge_out_of_range_names_the_first_bad_edge(
+        self, n, edges, message, undirected
+    ):
+        with pytest.raises(EdgeOutOfRange) as exc:
+            build_graph(n, edges, ["a"] * n, undirected=undirected)
+        assert str(exc.value) == message
+        assert exc.value.edge == next(
+            (u, v) for u, v in edges if not (0 <= u < n and 0 <= v < n)
+        )
+
     def test_label_arity_mismatch(self):
         with pytest.raises(LabelArityMismatch):
             build_graph(3, [], ["a", "a"], undirected=False)
@@ -60,33 +78,56 @@ class TestBuildGraph:
 
 class TestDegrees:
     """Degrees are counted over the edge set, without building the
-    adjacency table, and equal each vertex's out- and in-neighbour counts."""
+    adjacency table, and equal each vertex's out- and in-neighbour counts.
+    They are one cached (out-degrees, in-degrees) pair per graph, which the
+    canonicity signature and the search's candidate filter both read."""
+
+    @staticmethod
+    def graphs():
+        """Seeded graphs, undirected then directed, with self-loops and
+        isolated vertices, each group led by the empty graph."""
+        rng = random.Random(31)
+        for undirected in (True, False):
+            yield build_graph(0, [], [], undirected=undirected)
+            for _ in range(80):
+                yield random_graph(rng, rng.randrange(1, 9), edge_prob=0.25,
+                                   undirected=undirected, loops=True)
+
+    @staticmethod
+    def edge_counts(g):
+        """Each vertex's out- and in-neighbours, listed from the edge set."""
+        outs = [[v for u, v in g.edges if u == x] for x in g.vertices()]
+        ins = [[u for u, v in g.edges if v == x] for x in g.vertices()]
+        return outs, ins
 
     def test_self_loop_counts_once_in_each_direction(self):
         g = build_graph(3, [(0, 0), (0, 1)], ["a"] * 3, undirected=False)
-        assert (g.out_degree, g.in_degree) == ((2, 0, 0), (1, 1, 0))
+        assert g.degrees == ((2, 0, 0), (1, 1, 0))
         g = build_graph(2, [(1, 1)], ["a"] * 2, undirected=True)
-        assert (g.out_degree, g.in_degree) == ((0, 1), (0, 1))
+        assert g.degrees == ((0, 1), (0, 1))
 
     def test_match_adjacency_lengths(self):
-        rng = random.Random(31)
         loops = isolated = 0
-        for undirected in (True, False):
-            graphs = [build_graph(0, [], [], undirected=undirected)] + [
-                random_graph(rng, rng.randrange(1, 9), edge_prob=0.25,
-                             undirected=undirected, loops=True)
-                for _ in range(80)
-            ]
-            for g in graphs:
-                out_degree, in_degree = g.out_degree, g.in_degree
-                assert "sym_adj" not in g.__dict__
-                outs = [[v for u, v in g.edges if u == x] for x in g.vertices()]
-                ins = [[u for u, v in g.edges if v == x] for x in g.vertices()]
-                assert out_degree == tuple(len(a) for a in outs)
-                assert in_degree == tuple(len(a) for a in ins)
-                loops += sum((v, v) in g.edges for v in g.vertices())
-                isolated += sum(not a and not b for a, b in zip(outs, ins))
+        for g in self.graphs():
+            out_degree, in_degree = g.degrees
+            assert "sym_adj" not in g.__dict__
+            outs, ins = self.edge_counts(g)
+            assert out_degree == tuple(len(a) for a in outs)
+            assert in_degree == tuple(len(a) for a in ins)
+            loops += sum((v, v) in g.edges for v in g.vertices())
+            isolated += sum(not a and not b for a, b in zip(outs, ins))
         assert loops > 50 and isolated > 20
+
+    def test_signature_and_candidates_read_one_degree_pass(self):
+        for g in self.graphs():
+            _signature(g)
+            assert "degrees" in vars(g) and "sym_adj" not in vars(g)
+            degrees = vars(g)["degrees"]
+            target = build_graph(g.n, g.edges, g.labels, g.undirected_input)
+            _candidates(g, target)
+            assert vars(g)["degrees"] is degrees and "degrees" in vars(target)
+            outs, ins = self.edge_counts(g)
+            assert degrees == (tuple(map(len, outs)), tuple(map(len, ins)))
 
 
 class TestReachable:

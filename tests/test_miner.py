@@ -242,7 +242,7 @@ def switched_union(g):
     equal (label, out-degree, in-degree). Every vertex keeps its one-round
     colour, so both copies get one signature. The first such swap that
     leaves the copy connected, or None when there is none."""
-    colour = list(zip(g.labels, g.out_degree, g.in_degree))
+    colour = list(zip(g.labels, *g.degrees))
     for (a, x), (c, y) in itertools.combinations(sorted(g.edges), 2):
         if len({a, x, c, y}) < 4 or colour[a] != colour[c] or colour[x] != colour[y]:
             continue
@@ -401,7 +401,7 @@ class TestOccurrenceSignature:
         # search: is_isomorphic is never called.
         # One more candidate equals an earlier graph that failed N+ and
         # shares its entry, unevaluated. No blocked candidate builds an
-        # adjacency or degree table.
+        # adjacency table.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
@@ -423,8 +423,7 @@ class TestOccurrenceSignature:
                         for _, entry, path in blocked if path == "key")
         assert keyed == {False: 419, True: 262}
         assert verdicts == []
-        tables = {"sym_adj", "out_degree", "in_degree"}
-        assert not any(tables & c.__dict__.keys() for c, _, _ in blocked)
+        assert not any("sym_adj" in c.__dict__ for c, _, _ in blocked)
         rejected = [entry.pattern for _, entry, _ in shared
                     if entry.pattern.orig_ids not in emitted]
         assert len(rejected) == 1
@@ -896,7 +895,7 @@ class TestExampleTables:
         for ds in datasets:
             for ex in ds.examples:
                 assert not self.ADJACENCY & ex.graph.__dict__.keys()
-                searched += "out_degree" in ex.graph.__dict__
+                searched += "degrees" in ex.graph.__dict__
         assert searched > 20
 
     def test_mine_builds_no_example_adjacency(self):

@@ -308,7 +308,7 @@ class TestCaches:
     caches are read-only, so a graph with warm caches plans, searches and
     compares exactly as a fresh equal copy does."""
 
-    CACHED = ("by_label", "label_pairs", "sym_adj", "out_degree", "in_degree")
+    CACHED = ("by_label", "label_pairs", "sym_adj", "degrees")
 
     @staticmethod
     def fresh(g):

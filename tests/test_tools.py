@@ -36,6 +36,21 @@ class TestCriterion6:
         assert "error: " in err and ("--runs" in err or "checkouts" in err)
 
 
+    def test_two_sides_of_one_checkout(self, monkeypatch, capsys):
+        tool = load_tool("criterion6")
+        ratios = iter([7.0, 7.5, 8.0, 8.5])
+        monkeypatch.setattr(tool, "one_run", lambda checkout: next(ratios))
+        root = TOOLS.parent
+        assert tool.main(["--runs", "2", str(root), str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.endswith("over 2 runs") for line in lines) == 2
+        # Run 1 goes first then second, run 2 second then first.
+        assert json.loads(lines[-1]) == [
+            {"checkout": str(root), "ratios": [7.0, 8.5]},
+            {"checkout": str(root), "ratios": [7.5, 8.0]},
+        ]
+
+
 class TestSetupCost:
     @pytest.mark.parametrize(("argv", "complaint"), [
         (["--runs", "0", "{graphs}", "a"], "--runs"),

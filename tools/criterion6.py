@@ -11,7 +11,8 @@ from a run whose ratio is below the test's floor; a run that fails before
 it prints a ratio stops the tool. With two checkouts, the runs go in
 pairs and the side that runs first alternates from pair to pair. Each
 checkout's min, median and max over its N runs are printed, then one JSON
-line with every ratio.
+line with every ratio, one object per checkout in the order given (so one
+checkout given twice, an A/A run, keeps two records).
 """
 
 from __future__ import annotations
@@ -58,17 +59,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give one or two checkouts")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    checkouts = [c.resolve() for c in args.checkouts]
-    ratios: dict[str, list[float]] = {str(c): [] for c in checkouts}
+    sides = [{"checkout": str(c.resolve()), "ratios": []} for c in args.checkouts]
     for i in range(args.runs):
-        for c in checkouts if i % 2 == 0 else checkouts[::-1]:
-            ratio = one_run(c)
-            ratios[str(c)].append(ratio)
-            print(f"run {i + 1} {c}: {ratio:.2f}x", flush=True)
-    for c, rs in ratios.items():
-        print(f"{c}: min {min(rs):.2f}x, median {statistics.median(rs):.2f}x, "
-              f"max {max(rs):.2f}x over {len(rs)} runs")
-    print(json.dumps(ratios))
+        for side in sides if i % 2 == 0 else sides[::-1]:
+            ratio = one_run(Path(side["checkout"]))
+            side["ratios"].append(ratio)
+            print(f"run {i + 1} {side['checkout']}: {ratio:.2f}x", flush=True)
+    for side in sides:
+        rs = side["ratios"]
+        print(f"{side['checkout']}: min {min(rs):.2f}x, median "
+              f"{statistics.median(rs):.2f}x, max {max(rs):.2f}x over {len(rs)} runs")
+    print(json.dumps(sides))
     return 0
 
 
