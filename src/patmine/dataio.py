@@ -32,7 +32,7 @@ from .miner import MineResult
 if TYPE_CHECKING:
     from ._rng import SplitMix64
 
-CLASS_TAGS = ("pos", "neg", "template")
+CLASS_TAGS = tuple(cls.value for cls in ExampleClass) + ("template",)
 
 
 class GraphFileError(ValueError):
@@ -189,17 +189,12 @@ def build_dataset(
         raise DatasetLoadError(
             f"expected exactly one template block, found {len(templates)}"
         )
-    examples = []
-    next_id = 0
-    for _, tag, graph in blocks:
-        if tag == "template":
-            continue
-        cls = ExampleClass.POSITIVE if tag == "pos" else ExampleClass.NEGATIVE
-        examples.append(Example(next_id, cls, graph))
-        next_id += 1
+    tagged = [(tag, graph) for _, tag, graph in blocks if tag != "template"]
     return Dataset(
         template=templates[0],
-        examples=tuple(examples),
+        examples=tuple(
+            Example(i, ExampleClass(tag), graph) for i, (tag, graph) in enumerate(tagged)
+        ),
         n_pos_threshold=n_pos_threshold,
         n_neg_threshold=n_neg_threshold,
     )

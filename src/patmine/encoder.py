@@ -16,47 +16,64 @@ from __future__ import annotations
 import re
 
 from . import __version__
-from .graphs import Dataset, ExampleClass
+from .graphs import Dataset
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+# A label kept as its own atom: a constant other than ``not`` and ``lbl<digits>``.
+_ATOM_RE = re.compile(r"(?!(not|lbl[0-9]+)\Z)[a-z][A-Za-z0-9_]*")
+_ASP_FACT = {  # the ASP spelling of a row of each fact predicate
+    "edge": "edge(g{},v{},v{}).", "label": "label(g{},v{},{}).",
+    "negative": "negative(g{}).", "positive": "positive(g{}).",
+    "t_edge": "t_edge(x{},x{}).", "t_label": "t_label(x{},{}).",
+}
 
 
 class EmptyDataset(ValueError):
     pass
 
 
-def _require_nonempty(dataset: Dataset) -> None:
-    if dataset.template.n == 0:
+def _instance(dataset: Dataset) -> tuple[dict[str, str], str, dict[str, list[tuple]]]:
+    """The disjoint-union instance both encodings render: each label's atom,
+    the summary line, and the argument rows of each fact predicate, in
+    (predicate, arguments) order. A label matching ``_ATOM_RE`` keeps its
+    spelling and any other becomes ``lbl<its index in label_universe()>``,
+    so no two labels share an atom."""
+    template = dataset.template
+    if template.n == 0:
         raise EmptyDataset("template graph has no vertices")
-
-
-def _label_atom(label: str, universe: tuple[str, ...]) -> str:
-    if _ATOM_RE.fullmatch(label):
-        return label
-    return f"lbl{universe.index(label)}"
-
-
-def _instance_summary(dataset: Dataset) -> str:
-    n_pos = len(dataset.positives())
-    n_neg = len(dataset.negatives())
-    return (
-        f"template {dataset.template.n} vertices / {len(dataset.template.edges)} "
-        f"directed edges; examples: {n_pos} positive, {n_neg} negative; "
-        f"labels: {len(dataset.label_universe())}"
+    atom = {
+        label: label if _ATOM_RE.fullmatch(label) else f"lbl{i}"
+        for i, label in enumerate(dataset.label_universe())
+    }
+    examples = dataset.examples
+    facts = {
+        "edge": [(ex.graph_id, u, v) for ex in examples for u, v in sorted(ex.graph.edges)],
+        "label": [
+            (ex.graph_id, v, atom[label])
+            for ex in examples
+            for v, label in enumerate(ex.graph.labels)
+        ],
+        "negative": [(ex.graph_id,) for ex in dataset.negatives()],
+        "positive": [(ex.graph_id,) for ex in dataset.positives()],
+        "t_edge": sorted(template.edges),
+        "t_label": [(v, atom[label]) for v, label in enumerate(template.labels)],
+    }
+    summary = (
+        f"template {template.n} vertices / {len(template.edges)} directed edges; "
+        f"examples: {len(facts['positive'])} positive, {len(facts['negative'])} "
+        f"negative; labels: {len(atom)}"
     )
+    return atom, summary, facts
 
 
 def emit_asp(dataset: Dataset) -> str:
     """Self-contained ASP program: instance facts, positive matching,
     saturation-based negative matching, and the template canonicity check."""
-    _require_nonempty(dataset)
-    universe = dataset.label_universe()
-    lab = lambda s: _label_atom(s, universe)
+    _, summary, facts = _instance(dataset)
     template = dataset.template
 
     lines = [
         f"% patmine ASP encoding (generator {__version__})",
-        f"% instance: {_instance_summary(dataset)}",
+        f"% instance: {summary}",
         f"% thresholds: positive count >= {dataset.n_pos_threshold}; "
         f"negative count <= {dataset.n_neg_threshold}",
         "% predicate spellings normalized: homowith, inpattern, t_edge, t_label, t_node",
@@ -64,24 +81,7 @@ def emit_asp(dataset: Dataset) -> str:
         "",
         "% ---- instance facts ----",
     ]
-
-    facts: list[tuple[str, tuple, str]] = []
-    for u, v in sorted(template.edges):
-        facts.append(("t_edge", (u, v), f"t_edge(x{u},x{v})."))
-    for v in template.vertices():
-        facts.append(("t_label", (v,), f"t_label(x{v},{lab(template.labels[v])})."))
-    for ex in dataset.examples:
-        g = ex.graph
-        for u, v in sorted(g.edges):
-            facts.append(("edge", (ex.graph_id, u, v), f"edge(g{ex.graph_id},v{u},v{v})."))
-        for v in g.vertices():
-            facts.append(
-                ("label", (ex.graph_id, v), f"label(g{ex.graph_id},v{v},{lab(g.labels[v])}).")
-            )
-        pred = "positive" if ex.cls is ExampleClass.POSITIVE else "negative"
-        facts.append((pred, (ex.graph_id,), f"{pred}(g{ex.graph_id})."))
-    facts.sort(key=lambda f: (f[0], f[1]))
-    lines.extend(text for _, _, text in facts)
+    lines += [_ASP_FACT[pred].format(*row) for pred, rows in facts.items() for row in rows]
 
     lines += [
         "",
@@ -163,18 +163,12 @@ def emit_asp(dataset: Dataset) -> str:
 
 def emit_idp(dataset: Dataset) -> str:
     """IDP vocabulary, positive theory, and structure for the instance."""
-    _require_nonempty(dataset)
-    universe = dataset.label_universe()
-    lab = lambda s: _label_atom(s, universe)
-    template = dataset.template
-
-    max_node = max(
-        [template.n] + [ex.graph.n for ex in dataset.examples]
-    )
+    atom, summary, facts = _instance(dataset)
+    max_node = max([dataset.template.n] + [ex.graph.n for ex in dataset.examples])
 
     lines = [
         f"// patmine IDP encoding (generator {__version__})",
-        f"// instance: {_instance_summary(dataset)}",
+        f"// instance: {summary}",
         f"// positive threshold: {dataset.n_pos_threshold}",
         "// normalizations: per-example label function named example_label;",
         "// the cardinality constraint counts gid, not a free symbol.",
@@ -227,31 +221,20 @@ def emit_idp(dataset: Dataset) -> str:
         "structure S : V{",
     ]
 
-    if max_node > 0:
-        lines.append(f"    node = {{0..{max_node - 1}}}")
-    else:
-        lines.append("    node = {}")
     gids = "; ".join(str(ex.graph_id) for ex in dataset.examples)
-    lines.append(f"    graphid = {{{gids}}}")
-    lines.append("    label = {" + "; ".join(lab(s) for s in universe) + "}")
-
-    t_edges = "; ".join(f"{u},{v}" for u, v in sorted(template.edges))
-    lines.append(f"    template_edge = {{{t_edges}}}")
-    t_labels = "; ".join(f"{v}->{lab(template.labels[v])}" for v in template.vertices())
-    lines.append(f"    template_label = {{{t_labels}}}")
-
-    ex_edges = "; ".join(
-        f"{ex.graph_id},{u},{v}"
-        for ex in dataset.examples
-        for u, v in sorted(ex.graph.edges)
-    )
-    lines.append(f"    example_edge = {{{ex_edges}}}")
-    ex_labels = "; ".join(
-        f"{ex.graph_id},{v}->{lab(ex.graph.labels[v])}"
-        for ex in dataset.examples
-        for v in ex.graph.vertices()
-    )
-    lines.append(f"    example_label = {{{ex_labels}}}")
-    lines.append(f"    threshold = {dataset.n_pos_threshold}")
-    lines.append("}")
+    lines += [
+        f"    node = {{0..{max_node - 1}}}",
+        f"    graphid = {{{gids}}}",
+        "    label = {" + "; ".join(atom.values()) + "}",
+    ]
+    for name, pred in zip(
+        ("template_edge", "template_label", "example_edge", "example_label"),
+        ("t_edge", "t_label", "edge", "label"),
+    ):
+        sep = "->" if pred.endswith("label") else ","
+        cells = "; ".join(
+            ",".join(map(str, row[:-1])) + sep + str(row[-1]) for row in facts[pred]
+        )
+        lines.append(f"    {name} = {{{cells}}}")
+    lines += [f"    threshold = {dataset.n_pos_threshold}", "}"]
     return "\n".join(lines) + "\n"

@@ -120,7 +120,8 @@ class Example:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A mining instance: template graph, classified examples, thresholds."""
+    """A mining instance: template graph, classified examples, thresholds.
+    Every example is in the template's mode (directed or undirected)."""
 
     template: LabeledGraph
     examples: tuple[Example, ...]
@@ -131,6 +132,15 @@ class Dataset:
         ids = [ex.graph_id for ex in self.examples]
         if ids != list(range(len(ids))):
             raise ValueError("example graph ids must be contiguous from 0")
+        modes = ("directed", "undirected")
+        mode = self.template.undirected_input
+        for ex in self.examples:
+            if ex.graph.undirected_input != mode:
+                raise ValueError(
+                    f"example graph {ex.graph_id} is in mode "
+                    f"{modes[ex.graph.undirected_input]} but the template is in "
+                    f"mode {modes[mode]}"
+                )
         if self.n_pos_threshold < 0 or self.n_neg_threshold < 0:
             raise ValueError("thresholds must be non-negative")
         if self.n_pos_threshold > len(self.positives()):

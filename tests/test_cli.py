@@ -556,6 +556,20 @@ class TestTopLevel:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [["mine"], ["encode", "--target", "idp"]],
+                             ids=["mine", "encode"])
+    def test_examples_in_another_mode_than_the_template_exit_one(self, tmp_path, command):
+        template, examples = tmp_path / "template.graphs", tmp_path / "examples.graphs"
+        template.write_text("mode undirected\nt # 0 template\nv 0 a\nv 1 b\ne 0 1\n")
+        examples.write_text("mode directed\nt # 1 pos\nv 0 a\nv 1 b\ne 0 1\n")
+        proc = run_process(*command, "--template", str(template),
+                           "--examples", str(examples), "--npos", "1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: example graph 0 is in mode directed but the "
+                               "template is in mode undirected\n")
+        assert proc.stdout == ""
+
     def test_any_value_error_exits_one(self, capsys, monkeypatch):
         def reject(dataset, config):
             raise ValueError("boom")

@@ -180,6 +180,22 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset(blocks, 5, 0)
 
+    @pytest.mark.parametrize(("template_mode", "example_mode"), [
+        ("undirected", "directed"), ("directed", "undirected"),
+    ])
+    def test_example_in_another_mode_rejected(self, template_mode, example_mode):
+        # Mining would read the example in its own mode, while the encoders
+        # and write_graphs read every graph in the template's.
+        body = "v 0 a\nv 1 b\ne 0 1\n"
+        blocks = parse_graphs(f"mode {template_mode}\nt # 0 template\n{body}")
+        blocks += parse_graphs(f"mode {example_mode}\nt # 1 pos\n{body}")
+        with pytest.raises(ValueError) as info:
+            build_dataset(blocks, 1, 0)
+        assert str(info.value) == (
+            f"example graph 0 is in mode {example_mode} but the template is in "
+            f"mode {template_mode}"
+        )
+
 
 class TestRoundTrip:
     def test_fixture_round_trip(self, fixtures_dir):

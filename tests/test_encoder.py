@@ -145,3 +145,75 @@ class TestEmitIdp:
         )
         with pytest.raises(EmptyDataset):
             emit_idp(ds)
+
+
+def asp_instance(text):
+    """{(graph id, or None for the template, "edge" | "label"): rows} read
+    back from the ASP edge, label, t_edge and t_label facts."""
+    table = {}
+    for t, pred, args in re.findall(r"^(t_)?(edge|label)\(([^()]*)\)\.$", text, re.M):
+        *ids, last = args.split(",")
+        row = (*(int(a[1:]) for a in ids), int(last[1:]) if pred == "edge" else last)
+        key = (None, pred) if t else (row[0], pred)
+        table.setdefault(key, []).append(row if t else row[1:])
+    return table
+
+
+def idp_instance(text):
+    """The same table read back from the IDP structure's template_edge,
+    template_label, example_edge and example_label relations."""
+    table = {}
+    pattern = r"^    (template|example)_(edge|label) = \{(.*)\}$"
+    for kind, pred, cells in re.findall(pattern, text, re.M):
+        for cell in filter(None, cells.split("; ")):
+            *ids, last = re.split(r",|->", cell)
+            row = (*map(int, ids), int(last) if pred == "edge" else last)
+            key = (None, pred) if kind == "template" else (row[0], pred)
+            table.setdefault(key, []).append(row if kind == "template" else row[1:])
+    return table
+
+
+def labeled_dataset(labels, undirected=True, edges=((0, 1), (1, 2))):
+    """A template over ``labels`` with one positive and one negative copy."""
+    g = build_graph(len(labels), edges, labels, undirected)
+    return Dataset(
+        template=g,
+        examples=(
+            Example(0, ExampleClass.POSITIVE, g), Example(1, ExampleClass.NEGATIVE, g)
+        ),
+        n_pos_threshold=1,
+        n_neg_threshold=0,
+    )
+
+
+class TestSharedInstance:
+    @pytest.mark.parametrize("dataset", [
+        demo_dataset(),
+        # directed: a self-loop at 2 and the antiparallel pair 0 <-> 1
+        labeled_dataset("aab", undirected=False, edges=((0, 1), (1, 0), (1, 2), (2, 2))),
+        # two labels, one of them not an atom
+        labeled_dataset(["a", "B-1", "a"]),
+    ], ids=["demo", "directed-loop-antiparallel", "non-atom-label"])
+    def test_both_encodings_list_the_same_facts(self, dataset):
+        asp = asp_instance(emit_asp(dataset))
+        assert asp == idp_instance(emit_idp(dataset))
+        graphs = [(None, dataset.template)]
+        graphs += [(ex.graph_id, ex.graph) for ex in dataset.examples]
+        assert set(asp) == {(gid, pred) for gid, _ in graphs for pred in ("edge", "label")}
+        atoms = {}
+        for gid, g in graphs:
+            assert asp[gid, "edge"] == sorted(g.edges)
+            assert [v for v, _ in asp[gid, "label"]] == list(g.vertices())
+            for v, atom in asp[gid, "label"]:
+                assert atoms.setdefault(g.labels[v], atom) == atom
+        assert len(set(atoms.values())) == len(atoms) == len(dataset.label_universe())
+
+    def test_distinct_labels_get_distinct_atoms(self):
+        # "A" is no atom and used to be renamed lbl0, the spelling of the
+        # label "lbl0"; "not" is the ASP keyword. "lbl" and "nota" keep theirs.
+        dataset = labeled_dataset(["A", "lbl", "lbl0", "not", "nota"])
+        atoms = ["lbl0", "lbl", "lbl2", "lbl3", "nota"]
+        asp = emit_asp(dataset)
+        assert re.findall(r"^t_label\(x\d+,(\w+)\)\.$", asp, re.M) == atoms
+        assert re.findall(r"^label\(g0,v\d+,(\w+)\)\.$", asp, re.M) == atoms
+        assert "    label = {lbl0; lbl; lbl2; lbl3; nota}" in emit_idp(dataset)
