@@ -125,9 +125,11 @@ def emit_asp(dataset: Dataset) -> str:
     else:
         # The map head must enumerate every vertex of each negative graph;
         # this is the instance-specific part of the saturation technique.
+        # Nothing maps into a negative without vertices: it is saturated.
         for ex in negatives:
             head = " | ".join(f"map(g{ex.graph_id},X,v{v})" for v in ex.graph.vertices())
-            lines.append(f"{head} :- inpattern(X), negative(g{ex.graph_id}).")
+            rule = f"{head} :- inpattern(X), negative(g{ex.graph_id})."
+            lines.append(rule if head else f"saturated(g{ex.graph_id}).")
         lines += [
             "map(G,X,V) :- saturated(G), t_node(X), node(G,V).",
             "saturated(G) :- t_edge(X,Y), map(G,X,V1), map(G,Y,V2), "

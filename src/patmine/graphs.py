@@ -165,6 +165,20 @@ class Dataset:
     def of_class(self, cls: ExampleClass) -> tuple[Example, ...]:
         return self._by_class[cls]
 
+    @cached_property
+    def pair_index(self) -> tuple[dict[ExampleClass, int], dict[tuple, int]]:
+        """(class masks, pair masks): int bitmasks, bit g for the example
+        with graph_id g, one per class and one per directed (source label,
+        target label) pair, of the examples with such an edge. Built in one
+        pass over each example's edges, on the first decomposed count."""
+        classes, pairs = dict.fromkeys(ExampleClass, 0), {}
+        for ex in self.examples:
+            bit, labels = 1 << ex.graph_id, ex.graph.labels
+            classes[ex.cls] |= bit
+            for pair in {(labels[u], labels[v]) for u, v in ex.graph.edges}:
+                pairs[pair] = pairs.get(pair, 0) | bit
+        return classes, pairs
+
     def label_universe(self) -> tuple[Label, ...]:
         seen: set[str] = set(self.template.labels)
         for ex in self.examples:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial, prod
+from operator import or_
 from typing import Iterator
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, cached_property, induced_subgraph
@@ -209,11 +210,11 @@ def is_valid_pattern(
 
 def _count_monolithic(
     pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
-    misses: set[int],
-) -> int:
+    misses: int,
+) -> tuple[int, int]:
     """Complete chronological backtracking over the concatenated vector
     [homowith_g, f_g-assignments] of the examples of ``cls``, in graph-id
-    order; ``misses`` is ignored by design.
+    order; ``misses`` is ignored by design and returned unchanged.
 
     homowith_g is decided true before false; the true branch materializes a
     homomorphism witness from the example's lazily enumerated stream (a
@@ -223,9 +224,9 @@ def _count_monolithic(
     cardinality bound (a prefix whose remaining examples cannot reach the
     threshold is abandoned), so no per-example independence is exploited
     and no early stop occurs: a model is a complete assignment of every
-    example. Returns the count of the model found, or the largest count a
-    prefix reached when there is none. Once the count reaches the threshold
-    the bound never fires again, so a model exists iff the result reaches it.
+    example. Returns (count, ``misses``): the count of the model found, or
+    the largest a prefix reached when there is none. Once the count reaches
+    the threshold the bound never fires again, so a model exists iff it does.
     """
     targets = [ex.graph for ex in dataset.of_class(cls)]
     m = len(targets)
@@ -238,13 +239,13 @@ def _count_monolithic(
             while stack and stack[-1] is None:
                 stack.pop()
             if not stack:
-                return max_t
+                return max_t, misses
             if next(stack[-1], None) is None:
                 stack[-1] = None
                 t -= 1
             continue
         if depth == m:
-            return t
+            return t, misses
         witnesses = iter_homomorphisms(pattern, targets[depth])
         if next(witnesses, None) is None:
             stack.append(None)
@@ -258,7 +259,7 @@ def evaluate_strategy(
     pattern: LabeledGraph,
     dataset: Dataset,
     config: MiningConfig,
-    misses: set[int] | None = None,
+    misses: list[int] | None = None,
 ) -> tuple[bool, int, int]:
     """Two-phase validity check under the configured strategy.
 
@@ -268,23 +269,21 @@ def evaluate_strategy(
     The strategies differ only in how one class is counted, and return
     identical verdicts; the established counts may differ (the decomposed
     count stops early, the monolithic one assigns every example).
-    ``misses`` holds graph ids of examples ``pattern`` is known not to map
-    into; the decomposed count skips them and adds the examples it misses.
-    The monolithic count, by design, ignores it.
+    ``misses`` is a one-item list holding the miss mask (see
+    :func:`count_covered`) of the examples ``pattern`` is known not to map
+    into; the decomposed count skips them and the mask gains the examples
+    it misses. The monolithic count, by design, ignores it.
     """
     count = (
         _count_monolithic if config.strategy is Strategy.MONOLITHIC
         else count_covered
     )
-    if misses is None:
-        misses = set()
-    pos = count(pattern, dataset, ExampleClass.POSITIVE, config.n_pos_threshold, misses)
-    if pos < config.n_pos_threshold:
+    n_pos, n_neg, cell = config.n_pos_threshold, config.n_neg_threshold, misses or [0]
+    pos, cell[0] = count(pattern, dataset, ExampleClass.POSITIVE, n_pos, cell[0])
+    if pos < n_pos:
         return False, pos, 0
-    neg = count(
-        pattern, dataset, ExampleClass.NEGATIVE, config.n_neg_threshold + 1, misses
-    )
-    return neg <= config.n_neg_threshold, pos, neg
+    neg, cell[0] = count(pattern, dataset, ExampleClass.NEGATIVE, n_neg + 1, cell[0])
+    return neg <= n_neg, pos, neg
 
 
 def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
@@ -301,15 +300,15 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
 
     Positive coverage is anti-monotone: a pattern maps into every example
     that one of its supersets maps into. Each level records one entry per
-    candidate: None if it failed N+ or was pruned, else its miss set, the
-    examples it was searched against and missed plus those it inherited. A
-    candidate with a one-smaller sub-subset recorded None is pruned
+    candidate: None if it failed N+ or was pruned, else its miss mask (see
+    :func:`count_covered`), the examples it missed plus those it inherited.
+    A candidate with a one-smaller sub-subset recorded None is pruned
     unevaluated, and a level recording only None ends the run, since every
     connected (k+1)-subset contains a connected k-subset. A blocked subset
     is isomorphic to an accepted pattern, hence frequent, and records that
-    pattern's miss set; a candidate equal to a graph built earlier at its
+    pattern's miss mask; a candidate equal to a graph built earlier at its
     level records that graph's entry unevaluated. An evaluated candidate
-    starts from the union of its one-smaller sub-subsets' miss sets, which
+    starts from the ``|`` of its one-smaller sub-subsets' miss masks, which
     the decomposed counts skip without a search. Only the previous level's
     record is kept. Skipping a known miss never changes a count.
     """
@@ -320,14 +319,14 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     top = template.n
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
-    level: dict[tuple[int, ...], set[int] | None] = {}
+    level: dict[tuple[int, ...], int | None] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         built: dict[tuple, _Entry] = {}  # by (labels, edges)
         accepted: dict[tuple, dict[frozenset, _Entry]] = {}
         below, level = level, {}
         for subset in candidate_subsets(template, size):
-            known = [below.get(subset[:i] + subset[i + 1 :], ()) for i in range(size)]
+            known = [below.get(subset[:i] + subset[i + 1 :], 0) for i in range(size)]
             if None in known:
                 level[subset] = None
                 continue
@@ -336,9 +335,9 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
             if entry.pattern is not pattern:
                 level[subset] = level[entry.pattern.orig_ids]
                 continue
-            misses = set().union(*known)
+            misses = [reduce(or_, known)]
             ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
-            level[subset] = misses if pos >= config.n_pos_threshold else None
+            level[subset] = misses[0] if pos >= config.n_pos_threshold else None
             if not ok:
                 continue
             now = time.perf_counter()

@@ -177,40 +177,42 @@ def count_covered(
     dataset: Dataset,
     cls: ExampleClass,
     stop_at: int,
-    misses: set[int],
-) -> int:
+    misses: int = 0,
+) -> tuple[int, int]:
     """Examples of ``cls`` that ``pattern`` maps into, counted in graph_id
-    order until the count reaches ``stop_at``.
+    order until the count reaches ``stop_at``, and the miss mask after it.
 
-    An example whose graph_id is in ``misses`` (the caller knows
-    ``pattern`` does not map into it) is skipped without a search. An
-    example that lacks one of the pattern's directed edge-label pairs
-    (:attr:`LabeledGraph.label_pairs`) is a miss without a search, since a
-    homomorphism maps each edge onto an edge with the same two labels.
-    Every other example gets one :func:`find_homomorphism` call, and all
-    of them share one :func:`_order` of the pattern, built at the first
-    search. Each miss found is added to ``misses``; examples after the stop
-    are not tested.
+    A miss mask sets bit g for each example with graph_id g that ``pattern``
+    is known not to map into. The candidates are the class mask minus
+    ``misses``, ANDed with the mask of each of the pattern's directed
+    edge-label pairs (:attr:`Dataset.pair_index`), since a homomorphism maps
+    each edge onto an edge with the same two labels. Each candidate, lowest
+    bit first, gets one :func:`find_homomorphism` call; all share one
+    :func:`_order` of the pattern, built at the first search. The returned
+    mask adds each example below the stop that was not counted; examples
+    past the stop are not tested.
     """
-    if stop_at <= 0:
-        return 0
-    covered = 0
-    pairs = pattern.label_pairs
-    order = None
-    for ex in dataset.of_class(cls):
-        gid = ex.graph_id
-        if gid in misses:
-            continue
-        graph = ex.graph
-        if pairs <= graph.label_pairs and find_homomorphism(
-            pattern, graph, order or (order := _order(pattern))
+    classes, pairs = dataset.pair_index
+    todo = classes[cls] & ~misses
+    if stop_at <= 0 or not todo:
+        return 0, misses
+    left = todo
+    for pair in pattern.label_pairs:
+        left &= pairs.get(pair, 0)
+    examples, covered, hits, order = dataset.examples, 0, 0, None
+    while left:
+        low = left & -left
+        left ^= low
+        if find_homomorphism(
+            pattern, examples[low.bit_length() - 1].graph,
+            order or (order := _order(pattern)),
         ) is not None:
+            hits |= low
             covered += 1
             if covered >= stop_at:
+                todo &= low - 1
                 break
-        else:
-            misses.add(gid)
-    return covered
+    return covered, misses | (todo & ~hits)
 
 
 def coverage(
@@ -218,13 +220,14 @@ def coverage(
 ) -> CoverageReport:
     """Count examples of ``cls`` admitting a homomorphism from ``pattern``,
     with a verdict per example: :func:`count_covered` with no stop, so an
-    example is covered unless the scan added it to its miss set.
+    example is covered unless its bit is set in the returned miss mask.
     """
     examples = dataset.of_class(cls)
-    misses: set[int] = set()
-    covered = count_covered(pattern, dataset, cls, len(examples), misses)
+    covered, misses = count_covered(pattern, dataset, cls, len(examples))
     return CoverageReport(
         positive_covered=covered if cls is ExampleClass.POSITIVE else 0,
         negative_covered=covered if cls is ExampleClass.NEGATIVE else 0,
-        per_example=tuple((ex.graph_id, ex.graph_id not in misses) for ex in examples),
+        per_example=tuple(
+            (ex.graph_id, not misses >> ex.graph_id & 1) for ex in examples
+        ),
     )

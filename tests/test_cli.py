@@ -185,6 +185,21 @@ class TestCheck:
         assert "example 1 (neg): homomorphism no" in out
         assert "valid" in out
 
+    def test_readme_example_matches_golden(self, capsys, tmp_path, golden_dir):
+        # README's mine and check commands on the demo; check prints each
+        # example's verdict, read off the coverage miss mask.
+        patterns = tmp_path / "patterns.txt"
+        code, _, _ = run(
+            capsys, "mine", "--examples", DEMO, "--npos", "1", "--nneg", "0",
+            "--min-size", "6", "--max-size", "6", "--out", str(patterns),
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "check", "--pattern", str(patterns), "--examples", DEMO, "--npos", "1"
+        )
+        assert (code, err) == (0, "")
+        assert out == (golden_dir / "demo.check").read_text(encoding="utf-8")
+
     def test_negative_coverage_rejected(self, capsys):
         code, out, _ = run(
             capsys, "check", "--pattern", "tests/fixtures/candidate_tailpath.pattern",

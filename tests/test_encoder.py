@@ -31,6 +31,25 @@ class TestEmitAsp:
         # one disjunct per vertex of the 4-vertex negative example
         assert heads[0].count("map(g1,X,") == 4
 
+    def test_vertexless_negative_is_saturated(self):
+        # Nothing maps into a negative without vertices, so it is saturated
+        # by a fact; an empty disjunctive head would be a constraint that
+        # forbids every pattern.
+        ds = demo_dataset()
+        empty = build_graph(0, [], [], undirected=True)
+        ds = Dataset(
+            template=ds.template,
+            examples=(*ds.examples, Example(2, ExampleClass.NEGATIVE, empty)),
+            n_pos_threshold=1,
+            n_neg_threshold=0,
+        )
+        lines = emit_asp(ds).splitlines()
+        assert "saturated(g2)." in lines
+        assert not [line for line in lines if line.startswith(" :-")]
+        assert [line for line in lines if "negative(g2)" in line] == ["negative(g2)."]
+        heads = [line for line in lines if line.startswith("map(") and "|" in line]
+        assert heads[0].count("map(g1,X,") == 4 and len(heads) == 1
+
     def test_threshold_constants_substituted(self):
         text = emit_asp(demo_dataset(n_pos_threshold=1, n_neg_threshold=0))
         assert ":- positive_count(N), N < 1." in text

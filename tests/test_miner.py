@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -762,9 +763,9 @@ class TestPruning:
 def skipped_searches(monkeypatch, dataset, cfg):
     """Run mine() recording, per decomposed count, each (subset, example,
     known) triple for an example the count reads as a miss without a
-    search: one in the miss set it was handed (known is True), or one it
-    added to that set without searching it, which the edge-label test
-    rejected."""
+    search: one set in the miss mask it was handed (known is True), or one
+    it set in the mask it returned without searching it, which the
+    edge-label test rejected."""
     skipped, searched = [], []
     real_count = patmine.miner.count_covered
     real_find = patmine.morphism.find_homomorphism
@@ -773,16 +774,16 @@ def skipped_searches(monkeypatch, dataset, cfg):
         searched.append(target)
         return real_find(pattern, target, order)
 
-    def recorded(pattern, ds, cls, stop_at, misses):
+    def recorded(pattern, ds, cls, stop_at, known):
         searched.clear()
-        known = set(misses)
-        covered = real_count(pattern, ds, cls, stop_at, misses)
+        covered, misses = real_count(pattern, ds, cls, stop_at, known)
         skipped.extend(
-            (pattern.orig_ids, ex, ex.graph_id in known)
+            (pattern.orig_ids, ex, bool(known >> ex.graph_id & 1))
             for ex in ds.of_class(cls)
-            if ex.graph_id in misses and not any(t is ex.graph for t in searched)
+            if misses >> ex.graph_id & 1
+            and not any(t is ex.graph for t in searched)
         )
-        return covered
+        return covered, misses
 
     monkeypatch.setattr(patmine.miner, "count_covered", recorded)
     monkeypatch.setattr(patmine.morphism, "find_homomorphism", find)
@@ -817,9 +818,8 @@ class TestKnownMisses:
         searched = coverage(pattern, dataset, ExampleClass.NEGATIVE)
         assert searched.per_example == ((1, False),)
         monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
-        misses = {1}
-        skipped = count_covered(pattern, dataset, ExampleClass.NEGATIVE, 1, misses)
-        assert (skipped, misses) == (searched.negative_covered, {1})
+        skipped = count_covered(pattern, dataset, ExampleClass.NEGATIVE, 1, 1 << 1)
+        assert skipped == (searched.negative_covered, 1 << 1)
 
     def test_search_counts(self, monkeypatch):
         # Pinned figures. The decomposed count holds the coverage searches
@@ -881,9 +881,9 @@ class TestEdgeLabelTest:
 
 
 class TestExampleTables:
-    """An example graph is only ever a search target. The scan reads its
-    label pairs and the search its label index and degrees, so mining and
-    coverage build no adjacency table for it."""
+    """An example graph is only ever a search target. The scan reads the
+    dataset's pair index and the search the graph's label index and
+    degrees, so mining and coverage build no adjacency table for it."""
 
     ADJACENCY = {"sym_adj"}
 
@@ -915,6 +915,56 @@ class TestExampleTables:
                     for cls in ExampleClass:
                         coverage(pattern, ds, cls)
         self.assert_no_adjacency(datasets)
+
+
+def pair_index_instances(seed):
+    """Seeded datasets, directed and undirected, with self-loops, empty
+    examples and negatives: a random template and eight random examples
+    over its three labels, the classes shuffled."""
+    rng = random.Random(seed)
+    for undirected in (True, False):
+        for _ in range(12):
+            kind = dict(labels=("a", "b", "c"), undirected=undirected, loops=True)
+            template = random_graph(rng, rng.randrange(2, 6), **kind)
+            graphs = [random_graph(rng, rng.randrange(0, 6), **kind) for _ in range(8)]
+            classes = [ExampleClass.POSITIVE] * 5 + [ExampleClass.NEGATIVE] * 3
+            rng.shuffle(classes)
+            examples = tuple(
+                Example(i, c, g) for i, (c, g) in enumerate(zip(classes, graphs))
+            )
+            yield Dataset(template, examples, rng.randrange(1, 4), rng.randrange(2))
+
+
+class TestPairIndex:
+    """The decomposed count reads one label-pair index per dataset, built
+    on its first decomposed count and never by the monolithic one."""
+
+    def test_index_is_the_union_of_example_label_pairs(self):
+        seen = Counter()
+        for ds in pair_index_instances(211):
+            assert "pair_index" not in ds.__dict__
+            cfg = config(ds.n_pos_threshold, ds.n_neg_threshold, min_pattern_size=1)
+            mine(ds, replace(cfg, strategy=Strategy.MONOLITHIC))
+            assert "pair_index" not in ds.__dict__
+            mine(ds, cfg)
+            assert not any("label_pairs" in ex.graph.__dict__ for ex in ds.examples)
+            classes, pairs = ds.__dict__["pair_index"]
+            want = {}
+            for ex in ds.examples:
+                for pair in ex.graph.label_pairs:
+                    want[pair] = want.get(pair, 0) | 1 << ex.graph_id
+            assert pairs == want
+            assert classes == {
+                c: sum(1 << ex.graph_id for ex in ds.of_class(c)) for c in ExampleClass
+            }
+            seen["directed"] += not ds.template.undirected_input
+            seen["loops"] += any(
+                u == v for ex in ds.examples for u, v in ex.graph.edges)
+            seen["one-way"] += any(
+                (v, u) not in ex.graph.edges for ex in ds.examples
+                for u, v in ex.graph.edges)
+            seen["empty"] += any(ex.graph.n == 0 for ex in ds.examples)
+        assert min(seen.values()) > 5, seen
 
 
 class TestMiningConfig:

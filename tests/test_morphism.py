@@ -303,10 +303,10 @@ class TestPlan:
 
 class TestCaches:
     """Each graph caches what every search into or from it reads: as a
-    pattern its adjacency table and degrees, as a target its per-label
-    vertex index and degrees, and its edge-label pairs either way. The
-    caches are read-only, so a graph with warm caches plans, searches and
-    compares exactly as a fresh equal copy does."""
+    pattern its adjacency table, degrees and edge-label pairs, as a target
+    its per-label vertex index and degrees. The caches are read-only, so a
+    graph with warm caches plans, searches and compares exactly as a fresh
+    equal copy does."""
 
     CACHED = ("by_label", "label_pairs", "sym_adj", "degrees")
 
@@ -446,10 +446,10 @@ class TestHandedOrder:
                 if want >= stop_at:
                     break
             calls.clear()
-            misses = set(known)
             ds = labelled_dataset(*targets)
-            count = count_covered(pattern, ds, ExampleClass.POSITIVE, stop_at, misses)
-            assert (count, misses) == (want, want_misses)
+            count, misses = count_covered(
+                pattern, ds, ExampleClass.POSITIVE, stop_at, mask(known))
+            assert (count, misses) == (want, mask(want_misses))
             assert len(calls) == searched
             covered += count
             scans[searched] += 1
@@ -461,9 +461,9 @@ class TestHandedOrder:
         aa_b = build_graph(3, [(0, 1)], ["a", "a", "b"], True)
         ds = labelled_dataset(ab, aa_b, aa_b)
         # Example 0 is a known miss, 1 and 2 lack the a-b edge label pair.
-        misses = {0}
-        assert count_covered(ab, ds, ExampleClass.POSITIVE, 3, misses) == 0
-        assert misses == {0, 1, 2} and calls == []
+        assert count_covered(ab, ds, ExampleClass.POSITIVE, 3, mask({0})) == (
+            0, mask({0, 1, 2}))
+        assert calls == []
         # A target lacking one of the pattern's labels ends the stream
         # before any order work, which keeps monolithic quick misses cheap.
         ac = build_graph(2, [(0, 1)], ["a", "c"], True)
@@ -541,6 +541,11 @@ class TestLabelPairs:
         assert fired > 200
 
 
+def mask(graph_ids):
+    """The miss mask of a set of graph ids."""
+    return sum(1 << g for g in graph_ids)
+
+
 def labelled_dataset(*graphs):
     """A dataset whose examples are ``graphs``, all positive, N+ = 1."""
     return Dataset(
@@ -571,11 +576,9 @@ class TestCoverage:
 
     def test_label_miss_past_early_stop_reads_none(self):
         # The count stops at its first hit: the label miss after it is not
-        # tested, so it does not join the miss set.
+        # tested, so it does not join the miss mask.
         ds = labelled_dataset(self.AB, self.AA_B)
-        misses = set()
-        assert count_covered(self.AB, ds, ExampleClass.POSITIVE, 1, misses) == 1
-        assert misses == set()
+        assert count_covered(self.AB, ds, ExampleClass.POSITIVE, 1) == (1, 0)
 
     def test_hexchord_covers_positive(self, template, dataset):
         pattern = induced_subgraph(template, HEXCHORD_SUBSET)
@@ -603,9 +606,7 @@ class TestCoverage:
         # A count that stops at 0 tests no example.
         pattern = induced_subgraph(template, TAILPATH_SUBSET)
         monkeypatch.setattr(patmine.morphism, "find_homomorphism", None)
-        misses = set()
-        assert count_covered(pattern, dataset, ExampleClass.POSITIVE, 0, misses) == 0
-        assert misses == set()
+        assert count_covered(pattern, dataset, ExampleClass.POSITIVE, 0) == (0, 0)
 
     def test_full_counts_match_brute_force(self, dataset):
         rng = random.Random(41)
