@@ -93,8 +93,8 @@ def emit_asp(dataset: Dataset) -> str:
             "t_edge(Y,X) :- t_edge(X,Y).",
         ]
     lines += [
-        "node(G,Y) :- edge(G,Y,_).",
-        "t_node(X) :- t_edge(X,_).",
+        "node(G,V) :- label(G,V,_).",
+        "t_node(X) :- t_label(X,_).",
         "",
         "% ---- pattern choice and connectedness ----",
         "0 { inpattern(X) } 1 :- t_node(X).",
@@ -187,6 +187,7 @@ def emit_idp(dataset: Dataset) -> str:
         "    // Predicates describing the example graphs.",
         "    example_edge(graphid, node, node)",
         "    example_label(graphid, node):label",
+        "    positive(graphid)",
         "    threshold: int",
         "",
         "    // Predicates describing the pattern graph and its matches.",
@@ -217,7 +218,7 @@ def emit_idp(dataset: Dataset) -> str:
         "template_label(x) = example_label(gid, f(gid,x)).",
         "",
         "    // At least threshold homomorphisms must be found.",
-        "    #{ gid[graphid] : homowith(gid) } >= threshold.",
+        "    #{ gid[graphid] : positive(gid) & homowith(gid) } >= threshold.",
         "}",
         "",
         "structure S : V{",
@@ -228,6 +229,7 @@ def emit_idp(dataset: Dataset) -> str:
         f"    node = {{0..{max_node - 1}}}",
         f"    graphid = {{{gids}}}",
         "    label = {" + "; ".join(atom.values()) + "}",
+        "    positive = {" + "; ".join(str(gid) for gid, in facts["positive"]) + "}",
     ]
     for name, pred in zip(
         ("template_edge", "template_label", "example_edge", "example_label"),

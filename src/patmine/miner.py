@@ -198,10 +198,10 @@ def is_valid_pattern(
 ) -> tuple[bool, int, int]:
     """The public one-pattern check: the decomposed :func:`evaluate_strategy`.
 
-    Positives are scanned until the count reaches the threshold; the
-    negative scan aborts and rejects as soon as the count exceeds its
-    threshold. Returns (valid, positive_covered, negative_covered) with the
-    counts actually established.
+    Positives are scanned until the count reaches the threshold or can no
+    longer reach it; the negative scan aborts and rejects as soon as the
+    count exceeds its threshold. Returns (valid, positive_covered,
+    negative_covered) with the counts actually established.
     """
     return evaluate_strategy(
         pattern, dataset, replace(config, strategy=Strategy.DECOMPOSED)
@@ -210,11 +210,11 @@ def is_valid_pattern(
 
 def _count_monolithic(
     pattern: LabeledGraph, dataset: Dataset, cls: ExampleClass, threshold: int,
-    misses: int,
+    misses: int, need: int = 0,
 ) -> tuple[int, int]:
     """Complete chronological backtracking over the concatenated vector
     [homowith_g, f_g-assignments] of the examples of ``cls``, in graph-id
-    order; ``misses`` is ignored by design and returned unchanged.
+    order; ``misses`` (returned unchanged) and ``need`` are ignored by design.
 
     homowith_g is decided true before false; the true branch materializes a
     homomorphism witness from the example's lazily enumerated stream (a
@@ -268,7 +268,8 @@ def evaluate_strategy(
     negatives against n_neg_threshold + 1, rejecting when it is reached.
     The strategies differ only in how one class is counted, and return
     identical verdicts; the established counts may differ (the decomposed
-    count stops early, the monolithic one assigns every example).
+    count stops early, the monolithic one assigns every example; on an N+
+    failure each gives up once the examples it has left cannot reach N+).
     ``misses`` is a one-item list holding the miss mask (see
     :func:`count_covered`) of the examples ``pattern`` is known not to map
     into; the decomposed count skips them and the mask gains the examples
@@ -279,7 +280,7 @@ def evaluate_strategy(
         else count_covered
     )
     n_pos, n_neg, cell = config.n_pos_threshold, config.n_neg_threshold, misses or [0]
-    pos, cell[0] = count(pattern, dataset, ExampleClass.POSITIVE, n_pos, cell[0])
+    pos, cell[0] = count(pattern, dataset, ExampleClass.POSITIVE, n_pos, cell[0], n_pos)
     if pos < n_pos:
         return False, pos, 0
     neg, cell[0] = count(pattern, dataset, ExampleClass.NEGATIVE, n_neg + 1, cell[0])
@@ -301,7 +302,8 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     Positive coverage is anti-monotone: a pattern maps into every example
     that one of its supersets maps into. Each level records one entry per
     candidate: None if it failed N+ or was pruned, else its miss mask (see
-    :func:`count_covered`), the examples it missed plus those it inherited.
+    :func:`count_covered`), the examples it missed plus those it inherited;
+    an N+ failure's count is a bound and its mask is dropped.
     A candidate with a one-smaller sub-subset recorded None is pruned
     unevaluated, and a level recording only None ends the run, since every
     connected (k+1)-subset contains a connected k-subset. A blocked subset

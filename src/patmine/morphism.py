@@ -178,9 +178,11 @@ def count_covered(
     cls: ExampleClass,
     stop_at: int,
     misses: int = 0,
+    need: int = 0,
 ) -> tuple[int, int]:
     """Examples of ``cls`` that ``pattern`` maps into, counted in graph_id
-    order until the count reaches ``stop_at``, and the miss mask after it.
+    order until the count reaches ``stop_at`` or cannot reach ``need``, and
+    the miss mask after it.
 
     A miss mask sets bit g for each example with graph_id g that ``pattern``
     is known not to map into. The candidates are the class mask minus
@@ -188,9 +190,10 @@ def count_covered(
     edge-label pairs (:attr:`Dataset.pair_index`), since a homomorphism maps
     each edge onto an edge with the same two labels. Each candidate, lowest
     bit first, gets one :func:`find_homomorphism` call; all share one
-    :func:`_order` of the pattern, built at the first search. The returned
-    mask adds each example below the stop that was not counted; examples
-    past the stop are not tested.
+    :func:`_order` of the pattern, built at the first search. Before a
+    candidate, the scan stops if the count plus the candidates left, that
+    one included, is below ``need``. The returned mask adds each example
+    below the stop that was not counted; examples past it are not tested.
     """
     classes, pairs = dataset.pair_index
     todo = classes[cls] & ~misses
@@ -202,6 +205,9 @@ def count_covered(
     examples, covered, hits, order = dataset.examples, 0, 0, None
     while left:
         low = left & -left
+        if covered + left.bit_count() < need:
+            todo &= low - 1
+            break
         left ^= low
         if find_homomorphism(
             pattern, examples[low.bit_length() - 1].graph,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,13 +188,16 @@ class TestCheck:
 
     def test_readme_example_matches_golden(self, capsys, tmp_path, golden_dir):
         # README's mine and check commands on the demo; check prints each
-        # example's verdict, read off the coverage miss mask.
+        # example's verdict, read off the coverage miss mask. The pattern
+        # file, without its times, pins the subsets and their counts.
         patterns = tmp_path / "patterns.txt"
         code, _, _ = run(
             capsys, "mine", "--examples", DEMO, "--npos", "1", "--nneg", "0",
             "--min-size", "6", "--max-size", "6", "--out", str(patterns),
         )
         assert code == 0
+        untimed = re.sub(r" time_ms=[0-9.]*", "", patterns.read_text(encoding="utf-8"))
+        assert untimed == (golden_dir / "demo.patterns").read_text(encoding="utf-8")
         code, out, err = run(
             capsys, "check", "--pattern", str(patterns), "--examples", DEMO, "--npos", "1"
         )

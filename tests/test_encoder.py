@@ -14,6 +14,39 @@ def template_only_dataset():
     return Dataset(template=t, examples=(), n_pos_threshold=0, n_neg_threshold=0)
 
 
+def isolated_vertex_dataset(undirected=True):
+    """Template a-b with one edge. Positive 0 is a lone b vertex, negative 1
+    a lone a vertex, and positive 2 the edge b -> a, whose a vertex has only
+    an incoming edge when directed."""
+    edge = build_graph(2, [(0, 1)], ["b", "a"], undirected)
+    return Dataset(
+        template=build_graph(2, [(0, 1)], ["a", "b"], undirected),
+        examples=(
+            Example(0, ExampleClass.POSITIVE, build_graph(1, [], ["b"], undirected)),
+            Example(1, ExampleClass.NEGATIVE, build_graph(1, [], ["a"], undirected)),
+            Example(2, ExampleClass.POSITIVE, edge),
+        ),
+        n_pos_threshold=1,
+        n_neg_threshold=0,
+    )
+
+
+def derived(text, head):
+    """The ``head`` atoms that the program's one-atom rules, such as
+    ``node(G,V) :- label(G,V,_).``, derive from its facts, as argument
+    tuples."""
+    facts = {}
+    for pred, args in re.findall(r"^(\w+)\(([^()]*)\)\.$", text, re.M):
+        facts.setdefault(pred, []).append(args.split(","))
+    rule = rf"^{head}\(([^()]*)\) :- (\w+)\(([^()]*)\)\.$"
+    out = set()
+    for head_args, body, body_args in re.findall(rule, text, re.M):
+        for row in facts.get(body, ()):
+            bound = dict(zip(body_args.split(","), row))
+            out.add(tuple(bound[a] for a in head_args.split(",")))
+    return out
+
+
 class TestEmitAsp:
     def test_matches_golden_file(self, golden_dir):
         expected = (golden_dir / "demo.lp").read_text(encoding="utf-8")
@@ -49,6 +82,17 @@ class TestEmitAsp:
         assert [line for line in lines if "negative(g2)" in line] == ["negative(g2)."]
         heads = [line for line in lines if line.startswith("map(") and "|" in line]
         assert heads[0].count("map(g1,X,") == 4 and len(heads) == 1
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_every_vertex_is_a_node(self, undirected):
+        # A vertex without an edge, or directed with only an incoming one,
+        # must still be a node, or no pattern vertex can map onto it.
+        ds = isolated_vertex_dataset(undirected)
+        text = emit_asp(ds)
+        assert derived(text, "node") == {
+            (f"g{ex.graph_id}", f"v{v}") for ex in ds.examples for v in ex.graph.vertices()
+        }
+        assert derived(text, "t_node") == {("x0",), ("x1",)}
 
     def test_threshold_constants_substituted(self):
         text = emit_asp(demo_dataset(n_pos_threshold=1, n_neg_threshold=0))
@@ -131,6 +175,16 @@ class TestEmitIdp:
         assert "graphid = {0; 1}" in text
         assert "threshold = 1" in text
         assert "node = {0..7}" in text
+
+    def test_count_ranges_over_positives_only(self):
+        # The negative example 1 lies between the positives 0 and 2.
+        text = emit_idp(isolated_vertex_dataset())
+        vocabulary, theory = text.split("theory Positive")
+        assert "    positive(graphid)\n" in vocabulary
+        (condition,) = re.findall(r"#\{ gid\[graphid\] : (.*) \} >= threshold\.", theory)
+        assert "positive(gid)" in [c.strip() for c in condition.split("&")]
+        assert re.findall(r"^    positive = \{(.*)\}$", text, re.M) == ["0; 2"]
+        assert "    graphid = {0; 1; 2}" in text
 
     def test_label_type_never_empty(self):
         text = emit_idp(template_only_dataset())

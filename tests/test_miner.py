@@ -460,7 +460,9 @@ class TestEvaluateStrategy:
     def test_established_counts(self, instance):
         # Pinned (valid, pos, neg) of both strategies for every connected
         # subset of size 1-4, N+ in 0..P and N- in 0..2, from the full-scan
-        # coverage counts C+/C- and per-example hits.
+        # coverage counts C+/C- and per-example hits. On an N+ failure the
+        # decomposed pos is the chronological count over the positives that
+        # have every edge-label pair of the pattern, the ones it searches.
         ds = (desk_scale_instances() + small_instances())[instance]
         n_positives = len(ds.positives())
         checked = 0
@@ -472,11 +474,18 @@ class TestEvaluateStrategy:
                 neg_hits = [h for _, h in coverage(
                     pattern, ds, ExampleClass.NEGATIVE).per_example]
                 cp, cn = sum(pos_hits), sum(neg_hits)
+                pairs = edge_label_pairs(pattern)
+                searched_hits = [
+                    hit for ex, hit in zip(ds.positives(), pos_hits)
+                    if pairs <= edge_label_pairs(ex.graph)
+                ]
                 for n_pos in range(n_positives + 1):
                     for n_neg in range(3):
                         ok = cp >= n_pos and cn <= n_neg
+                        dec_pos = (n_pos if cp >= n_pos
+                                   else chronological_count(searched_hits, n_pos))
                         dec = evaluate_strategy(pattern, ds, config(n_pos, n_neg))
-                        assert dec == (ok, min(cp, n_pos),
+                        assert dec == (ok, dec_pos,
                                        0 if cp < n_pos else min(cn, n_neg + 1))
                         mono_pos = chronological_count(pos_hits, n_pos)
                         mono_neg = (chronological_count(neg_hits, n_neg + 1)
@@ -499,6 +508,12 @@ def chronological_count(hits, threshold):
             return t
         t += hit
     return t
+
+
+def edge_label_pairs(g):
+    """(source label, target label) of each edge of ``g``, read off its
+    edges and labels, so no graph caches its ``label_pairs``."""
+    return {(g.labels[u], g.labels[v]) for u, v in g.edges}
 
 
 def small_instances():
@@ -774,9 +789,9 @@ def skipped_searches(monkeypatch, dataset, cfg):
         searched.append(target)
         return real_find(pattern, target, order)
 
-    def recorded(pattern, ds, cls, stop_at, known):
+    def recorded(pattern, ds, cls, stop_at, known, need=0):
         searched.clear()
-        covered, misses = real_count(pattern, ds, cls, stop_at, known)
+        covered, misses = real_count(pattern, ds, cls, stop_at, known, need)
         skipped.extend(
             (pattern.orig_ids, ex, bool(known >> ex.graph_id & 1))
             for ex in ds.of_class(cls)
@@ -825,10 +840,11 @@ class TestKnownMisses:
         # Pinned figures. The decomposed count holds the coverage searches
         # and the blocking searches inside is_isomorphic (none here: an
         # equal graph or the colour-rank key decides both blocked
-        # candidates). Widening or narrowing the miss skip moves it (746
-        # searches without the edge-label test, 1,226 without it and
-        # without known misses); the monolithic stream count depends on
-        # neither. Both move with the number of evaluated candidates: 5
+        # candidates). Widening or narrowing the miss skip moves it (739
+        # searches without the edge-label test, 1,219 without it and
+        # without known misses), and so does the N+ give-up (194 searches
+        # without it); the monolithic stream count depends on none of
+        # them. Both move with the number of evaluated candidates: 5
         # candidates rejected by N- equal a graph evaluated earlier at
         # their level and share its outcome unevaluated.
         ds = search_counting_instance()
@@ -841,11 +857,28 @@ class TestKnownMisses:
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
-        assert (len(dec), len(finds), len(streams)) == (23, 194, 0)
+        assert (len(dec), len(finds), len(streams)) == (23, 183, 0)
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
         assert len(streams) == 1972
+
+
+def mined_and_searched(mp, instances, strategy, max_size):
+    """(subset, pos, neg) lists mined from each instance, and the number of
+    decomposed searches made, counted through ``mp``."""
+    finds = []
+    real = patmine.morphism.find_homomorphism
+    mp.setattr(patmine.morphism, "find_homomorphism",
+               lambda p, t, order=None: finds.append(1) or real(p, t, order))
+    results = [
+        [(r.subset, r.positive_covered, r.negative_covered)
+         for r in mine(ds, MiningConfig(
+             ds.n_pos_threshold, ds.n_neg_threshold,
+             max_pattern_size=max_size, strategy=strategy))]
+        for ds in instances
+    ]
+    return results, len(finds)
 
 
 class TestEdgeLabelTest:
@@ -854,30 +887,105 @@ class TestEdgeLabelTest:
     def test_neutralised_gives_same_results(self, strategy, max_size):
         # With label_pairs empty for every graph the test never fires, which
         # is the scan without it; only the decomposed search count may move.
-        def run(mp):
-            finds = []
-            real = patmine.morphism.find_homomorphism
-            mp.setattr(patmine.morphism, "find_homomorphism",
-                       lambda p, t, order=None: finds.append(1) or real(p, t, order))
-            results = [
-                [(r.subset, r.positive_covered, r.negative_covered)
-                 for r in mine(ds, MiningConfig(
-                     ds.n_pos_threshold, ds.n_neg_threshold,
-                     max_pattern_size=max_size, strategy=strategy))]
-                for ds in PRUNING_INSTANCES
-            ]
-            return results, len(finds)
-
         with pytest.MonkeyPatch.context() as mp:
-            filtered, filtered_finds = run(mp)
+            filtered, filtered_finds = mined_and_searched(
+                mp, PRUNING_INSTANCES, strategy, max_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(LabeledGraph, "label_pairs", property(lambda g: frozenset()))
-            plain, plain_finds = run(mp)
+            plain, plain_finds = mined_and_searched(
+                mp, PRUNING_INSTANCES, strategy, max_size)
         assert filtered == plain
         if strategy is Strategy.DECOMPOSED:
             assert filtered_finds < plain_finds
         else:
             assert filtered_finds == plain_finds
+
+
+def scan_rule(candidates, hit, need):
+    """(count, stop) of a positive scan that searches ``candidates`` (graph
+    ids, ascending) in order: it stops once the count reaches ``need``, or
+    before the first candidate where the count plus the candidates left,
+    that one included, is below ``need``. Every example below graph id
+    ``stop`` is decided; None means all are."""
+    if need <= 0:
+        return 0, 0
+    t = 0
+    for d, g in enumerate(candidates):
+        if t + len(candidates) - d < need:
+            return t, g
+        t += hit[g]
+        if t >= need:
+            return t, g + 1
+    return t, None
+
+
+class TestNPosGiveUp:
+    """The decomposed positive count gives up once N+ is out of reach."""
+
+    @pytest.mark.parametrize("max_size", [None, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_neutralised_gives_same_results(self, strategy, max_size):
+        # With need forced to 0 the give-up never fires, which is the scan
+        # without it; only the decomposed search count may move.
+        instances = PRUNING_INSTANCES + small_instances()
+        with pytest.MonkeyPatch.context() as mp:
+            bounded, bounded_finds = mined_and_searched(mp, instances, strategy, max_size)
+        with pytest.MonkeyPatch.context() as mp:
+            real_count = patmine.miner.count_covered
+            mp.setattr(patmine.miner, "count_covered",
+                       lambda p, ds, cls, stop_at, misses=0, need=0:
+                       real_count(p, ds, cls, stop_at, misses))
+            plain, plain_finds = mined_and_searched(mp, instances, strategy, max_size)
+        assert bounded == plain
+        if strategy is Strategy.DECOMPOSED:
+            assert bounded_finds < plain_finds
+        else:
+            assert bounded_finds == plain_finds
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_count_and_mask_follow_the_rule(self, seed):
+        # Every connected subset of up to 3 vertices against each class,
+        # with a random subset of its true misses handed in and every need
+        # from 0 to one past the class size: the count and the returned
+        # mask are those of scan_rule over the candidates the scan
+        # searches, and every bit of the mask is a brute-force miss.
+        rng = random.Random(seed)
+        seen = Counter()
+        for ds in pair_index_instances(310 + seed):
+            for size in range(1, min(3, ds.template.n) + 1):
+                for subset in candidate_subsets(ds.template, size):
+                    pattern = induced_subgraph(ds.template, subset)
+                    pairs = edge_label_pairs(pattern)
+                    hit = {ex.graph_id: bool(brute_force_homomorphisms(
+                        pattern, ex.graph)) for ex in ds.examples}
+                    for cls in ExampleClass:
+                        examples = ds.of_class(cls)
+                        known = sum(1 << ex.graph_id for ex in examples
+                                    if not hit[ex.graph_id] and rng.random() < 0.3)
+                        candidates = [
+                            ex.graph_id for ex in examples
+                            if not known >> ex.graph_id & 1
+                            and pairs <= edge_label_pairs(ex.graph)
+                        ]
+                        for need in range(len(examples) + 2):
+                            count, stop = scan_rule(candidates, hit, need)
+                            want = known | sum(
+                                1 << ex.graph_id for ex in examples
+                                if not hit[ex.graph_id]
+                                and (stop is None or ex.graph_id < stop)
+                            )
+                            got = count_covered(pattern, ds, cls, need, known, need)
+                            assert got == (count, want), (subset, cls, need)
+                            assert not any(
+                                hit[g] for g in hit if got[1] >> g & 1)
+                            gave_up = count < need and stop is not None
+                            seen["gave up"] += gave_up
+                            seen["gave up after a hit"] += gave_up and count > 0
+                            seen["gave up, mask gained"] += (
+                                gave_up and want & ~known != 0)
+                            seen["reached"] += 0 < need <= count
+                            seen["known"] += known != 0
+        assert min(seen.values()) > 10, seen
 
 
 class TestExampleTables:
