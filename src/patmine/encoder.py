@@ -135,6 +135,7 @@ def emit_asp(dataset: Dataset) -> str:
             "saturated(G) :- t_edge(X,Y), map(G,X,V1), map(G,Y,V2), "
             "not edge(G,V1,V2), negative(G), inpattern(X), inpattern(Y).",
             "saturated(G) :- map(G,X,V), map(G,Y,V), X != Y, inpattern(X), inpattern(Y).",
+            "saturated(G) :- map(G,X,V), t_label(X,L), not label(G,V,L), negative(G), inpattern(X).",
             "neg_homowith(G) :- not saturated(G), negative(G).",
             "negative_count(N) :- N = #count{G:neg_homowith(G)}.",
             f":- negative_count(N), N > {dataset.n_neg_threshold}.",

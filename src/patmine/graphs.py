@@ -15,10 +15,10 @@ class cached_property:
     """``functools.cached_property`` without its first-access lock (taken
     before Python 3.12). Mining builds a fresh small graph per candidate;
     with functools, the first accesses were about a third of the cost of
-    building one with its adjacency table and degrees. Degrees are counted
-    over the edges, so a graph that is only ever a search target, such as
-    an example graph, or a candidate that canonicity skips, builds no
-    adjacency table."""
+    building one with its adjacency table and degrees. Each cache is built
+    on first use only: a candidate that canonicity skips counts its degrees
+    and builds no adjacency table, and an example graph, which is only ever
+    a search target, builds its target table and nothing else."""
 
     def __init__(self, func):
         self.func = func
@@ -29,6 +29,17 @@ class cached_property:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+def _at_least(adj: list[int]) -> list[int]:
+    """Masks of the vertices with at least d bits in ``adj``, d = 0, 1, ..."""
+    counts = [m.bit_count() for m in adj]
+    masks = [0] * (max(counts, default=0) + 1)
+    for v, d in enumerate(counts):
+        masks[d] |= 1 << v
+    for d in range(len(masks) - 2, -1, -1):
+        masks[d] |= masks[d + 1]
+    return masks
 
 
 class GraphError(ValueError):
@@ -87,13 +98,25 @@ class LabeledGraph:
         return tuple(out), tuple(inn)
 
     @cached_property
-    def by_label(self) -> dict[Label, tuple[VertexId, ...]]:
-        """Vertex ids of each label, ascending. Every search into this graph
-        reads it, so callers must not mutate it."""
-        index: dict[Label, list[VertexId]] = {}
+    def target_table(self) -> tuple:
+        """Int masks, bit t for vertex t, that every search into this graph
+        reads: the successors and predecessors of each vertex (one list if
+        undirected), each label's vertices, "out-degree >= d" and "in-degree
+        >= d" (bit counts of those masks) for d up to the largest degree,
+        and the vertices with a self-loop. Read-only once built."""
+        n, edges, bits = self.n, self.edges, [1 << v for v in range(self.n)]
+        succ = [0] * n
+        for u, v in edges:
+            succ[u] |= bits[v]
+        pred = succ if self.undirected_input else [0] * n
+        for u, v in edges if pred is not succ else ():
+            pred[v] |= bits[u]
+        label_masks: dict[Label, int] = {}
         for v, label in enumerate(self.labels):
-            index.setdefault(label, []).append(v)
-        return {label: tuple(vs) for label, vs in index.items()}
+            label_masks[label] = label_masks.get(label, 0) | bits[v]
+        out_ge = _at_least(succ)
+        in_ge = out_ge if pred is succ else _at_least(pred)
+        return succ, pred, label_masks, out_ge, in_ge, sum(map(int.__and__, succ, bits))
 
     @cached_property
     def label_pairs(self) -> frozenset[tuple[Label, Label]]:

@@ -28,6 +28,7 @@ class CoverageReport:
 
 
 Order = tuple[list[int], list[list[tuple[int, bool]]]]
+Plan = tuple[list[int], list[list[tuple[int, bool]]], list[tuple]]
 
 
 def _order(pattern: LabeledGraph) -> Order:
@@ -67,96 +68,90 @@ def _order(pattern: LabeledGraph) -> Order:
     return order, checks
 
 
-def _candidates(
-    pattern: LabeledGraph, target: LabeledGraph
-) -> list[list[int]] | None:
-    """Target candidates of each pattern vertex, by id: same label, at
-    least its in- and out-degree, a self-loop where it has one. None when
-    the pattern is larger than the target or a vertex has no candidate."""
-    if pattern.n > target.n:
+def _needs(pattern: LabeledGraph) -> list[tuple]:
+    """(label, out-degree, in-degree, self-loop) of each pattern vertex."""
+    return [(*lio, (v, v) in pattern.edges)
+            for v, lio in enumerate(zip(pattern.labels, *pattern.degrees))]
+
+
+def _plan(pattern: LabeledGraph) -> Plan:
+    """What every search reads of ``pattern``: :func:`_order`, :func:`_needs`."""
+    return (*_order(pattern), _needs(pattern))
+
+
+def _candidates(needs: list[tuple], target: LabeledGraph) -> list[int] | None:
+    """One mask of target candidates per pattern vertex, from the target's
+    table: its label, at least its out- and in-degree, a self-loop if it has
+    one. None if the pattern is larger or a vertex has no candidate."""
+    if len(needs) > target.n:
         return None
-    by_label, edges_p, edges_t = target.by_label, pattern.edges, target.edges
-    out_t, in_t = target.degrees
-    candidates: list[list[int]] = []
-    for v, (label, out_v, in_v) in enumerate(zip(pattern.labels, *pattern.degrees)):
-        self_loop = (v, v) in edges_p
-        cand = [
-            t
-            for t in by_label.get(label, ())
-            if out_t[t] >= out_v and in_t[t] >= in_v
-            and (not self_loop or (t, t) in edges_t)
-        ]
-        if not cand:
-            return None
-        candidates.append(cand)
-    return candidates
+    _, _, label_masks, out_ge, in_ge, loops = target.target_table
+    try:
+        masks = [label_masks.get(label, 0) & out_ge[o] & in_ge[i]
+                 & (loops if loop else -1) for label, o, i, loop in needs]
+    except IndexError:  # a degree above the target's largest
+        return None
+    return masks if all(masks) else None
 
 
 def iter_homomorphisms(
-    pattern: LabeledGraph, target: LabeledGraph, order: Order | None = None
+    pattern: LabeledGraph, target: LabeledGraph, plan: Plan | None = None
 ):
-    """Yield every injective homomorphism, lazily.
-
-    Pattern vertices are assigned in connectivity-first order and target
-    candidates are tried in ascending id, so mappings come out in that
-    search order. The search keeps its own stack (one candidate cursor per
-    position), so its depth is not bounded by the interpreter's recursion
-    limit. A pattern with no vertices has exactly one mapping, ``()``.
-
-    ``order`` is ``_order(pattern)``, built here if not given once every
-    pattern vertex has a candidate. The decomposed scan hands one order to
-    all its searches; each monolithic witness stream builds its own.
-    """
-    per_vertex = _candidates(pattern, target)
-    if per_vertex is None:
+    """Yield every injective homomorphism, lazily; a pattern with no
+    vertices has one, ``()``. A target that leaves a pattern vertex without
+    a candidate (:func:`_candidates`) ends the search at once. Otherwise
+    the vertices are assigned in :func:`_order`, each position keeping one
+    domain mask: its candidates minus the target vertices used, ANDed with
+    the successor or predecessor mask of each back-edge partner assigned.
+    The lowest bit goes first, so mappings come out as from a search that
+    tries candidates in ascending id. The stack of domains is the search's
+    own, so its depth is not bounded by the recursion limit. The decomposed
+    scan hands every search one ``plan``, ``_plan(pattern)``; without one,
+    as in each monolithic witness stream, the search derives the needs and
+    builds the order once every pattern vertex has a candidate."""
+    domains = _candidates(plan[2] if plan else _needs(pattern), target)
+    if domains is None:
         return
-    order, checks = _order(pattern) if order is None else order
-    candidates = [per_vertex[v] for v in order]
-    np = pattern.n
-    edges_t = target.edges
-    used = [False] * target.n
-    assigned: list[int] = []  # target vertex of each position below i
-    cursors = [0] * np  # next candidate index to try at each position
-    i = 0
-    while i >= 0:
-        if i == np:
-            result = [0] * np
-            for k, v in enumerate(order):
-                result[v] = assigned[k]
-            yield tuple(result)
+    order, checks = plan[:2] if plan else _order(pattern)
+    if not order:
+        yield ()
+        return
+    candidates = [domains[v] for v in order]
+    adjs = target.target_table[:2]  # (successors, predecessors) by outgoing
+    np, assigned = len(order), [0] * len(order)  # target vertex per position
+    rest = [0] * np  # the domain bits each position has not tried yet
+    rest[0], used, i = candidates[0], 0, 0
+    while True:
+        dom = rest[i]
+        if not dom:  # position i is exhausted: release position i - 1
+            if not i:
+                return
             i -= 1
+            used ^= 1 << assigned[i]
             continue
-        if len(assigned) > i:  # back from position i + 1: release position i
-            used[assigned.pop()] = False
-        cand, chk = candidates[i], checks[i]
-        for c in range(cursors[i], len(cand)):
-            t = cand[c]
-            if used[t]:
-                continue
-            for j, outgoing in chk:
-                s = assigned[j]
-                if ((t, s) if outgoing else (s, t)) not in edges_t:
-                    break
-            else:
-                used[t] = True
-                assigned.append(t)
-                cursors[i] = c + 1
-                i += 1
-                break
-        else:
-            cursors[i] = 0
-            i -= 1
+        low = dom & -dom
+        rest[i] = dom ^ low
+        assigned[i] = low.bit_length() - 1
+        if i + 1 == np:
+            yield tuple([t for _, t in sorted(zip(order, assigned))])
+            continue
+        used |= low
+        i += 1
+        dom = candidates[i] & ~used
+        for j, outgoing in checks[i]:
+            dom &= adjs[outgoing][assigned[j]]
+        rest[i] = dom
 
 
 def find_homomorphism(
-    pattern: LabeledGraph, target: LabeledGraph, order: Order | None = None
+    pattern: LabeledGraph, target: LabeledGraph, plan: Plan | None = None
 ) -> Mapping | None:
     """First injective label/edge-preserving mapping, or None if none exists.
 
     The search is complete: None means no homomorphism exists. The result is
     the first mapping :func:`iter_homomorphisms` yields.
     """
-    return next(iter_homomorphisms(pattern, target, order), None)
+    return next(iter_homomorphisms(pattern, target, plan), None)
 
 
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -190,10 +185,11 @@ def count_covered(
     edge-label pairs (:attr:`Dataset.pair_index`), since a homomorphism maps
     each edge onto an edge with the same two labels. Each candidate, lowest
     bit first, gets one :func:`find_homomorphism` call; all share one
-    :func:`_order` of the pattern, built at the first search. Before a
-    candidate, the scan stops if the count plus the candidates left, that
-    one included, is below ``need``. The returned mask adds each example
-    below the stop that was not counted; examples past it are not tested.
+    :func:`_plan` of the pattern, built at the first search, so its order,
+    checks and needs are paid once per scan. Before a candidate, the scan
+    stops if the count plus the candidates left, that one included, is
+    below ``need``. The returned mask adds each example below the stop
+    that was not counted; examples past it are not tested.
     """
     classes, pairs = dataset.pair_index
     todo = classes[cls] & ~misses
@@ -202,7 +198,7 @@ def count_covered(
     left = todo
     for pair in pattern.label_pairs:
         left &= pairs.get(pair, 0)
-    examples, covered, hits, order = dataset.examples, 0, 0, None
+    examples, covered, hits, plan = dataset.examples, 0, 0, None
     while left:
         low = left & -left
         if covered + left.bit_count() < need:
@@ -211,7 +207,7 @@ def count_covered(
         left ^= low
         if find_homomorphism(
             pattern, examples[low.bit_length() - 1].graph,
-            order or (order := _order(pattern)),
+            plan or (plan := _plan(pattern)),
         ) is not None:
             hits |= low
             covered += 1

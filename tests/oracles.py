@@ -22,7 +22,7 @@ from patmine import (
     build_graph,
     induced_subgraph,
 )
-from patmine.morphism import _candidates, _order
+from patmine.morphism import _candidates, _needs, _order
 
 BRUTE_FORCE_MAX_PATTERN = 8
 
@@ -204,12 +204,14 @@ def recursive_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
     """Every injective homomorphism, by plain recursion over the order,
     checks and candidates of :func:`patmine.morphism.iter_homomorphisms`:
     the reference for the kernel's mappings and their order (depth bounded
-    by the recursion limit)."""
-    per_vertex = _candidates(pattern, target)
-    if per_vertex is None:
+    by the recursion limit). Candidates are read off each candidate mask's
+    bits in ascending order, and each back edge is checked as a tuple in
+    the target's edge set."""
+    masks = _candidates(_needs(pattern), target)
+    if masks is None:
         return
     order, checks = _order(pattern)
-    candidates = [per_vertex[v] for v in order]
+    candidates = [[t for t in range(target.n) if masks[v] >> t & 1] for v in order]
     np = pattern.n
     assigned: list[int] = []
     used = [False] * target.n

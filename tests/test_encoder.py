@@ -47,6 +47,56 @@ def derived(text, head):
     return out
 
 
+def one_step(text, head, atoms):
+    """The ``head`` atoms, as argument tuples, that the program's rules
+    with a ``head(...)`` head derive in one step from ``atoms``, a set of
+    (predicate, argument tuple) pairs: positive body atoms are matched
+    against ``atoms``, then each ``not`` atom and ``!=`` is checked under
+    the bindings. Upper-case names are variables, ``_`` matches anything."""
+    literal = re.compile(r"(not )?(\w+)\(([^()]*)\)|(\w+) != (\w+)")
+    out = set()
+    for head_args, body in re.findall(rf"^{head}\(([^()]*)\) :- (.*)\.$", text, re.M):
+        bindings, checks = [{}], []
+        for neg, pred, args, left, right in literal.findall(body):
+            if not pred or neg:
+                checks.append((pred, args.split(","), left, right))
+                continue
+            bindings = [
+                b for binding in bindings for fact, row in atoms if fact == pred
+                if (b := unify(args.split(","), row, binding)) is not None
+            ]
+        for b in bindings:
+            if all(
+                unify(args, row, b) is None for pred, args, _, _ in checks if pred
+                for fact, row in atoms if fact == pred
+            ) and all(b[x] != b[y] for pred, _, x, y in checks if not pred):
+                out.add(tuple(b.get(a, a) for a in head_args.split(",")))
+    return out
+
+
+def unify(args, row, binding):
+    """``binding`` extended so that ``args`` match the constants ``row``,
+    or None."""
+    b = dict(binding)
+    for a, c in zip(args, row, strict=True):
+        if a == "_":
+            continue
+        if a[0].isupper():
+            if b.setdefault(a, c) != c:
+                return None
+        elif a != c:
+            return None
+    return b
+
+
+def facts(text):
+    """The program's facts as (predicate, argument tuple) pairs."""
+    return {
+        (pred, tuple(args.split(",")))
+        for pred, args in re.findall(r"^(\w+)\(([^()]*)\)\.$", text, re.M)
+    }
+
+
 class TestEmitAsp:
     def test_matches_golden_file(self, golden_dir):
         expected = (golden_dir / "demo.lp").read_text(encoding="utf-8")
@@ -93,6 +143,26 @@ class TestEmitAsp:
             (f"g{ex.graph_id}", f"v{v}") for ex in ds.examples for v in ex.graph.vertices()
         }
         assert derived(text, "t_node") == {("x0",), ("x1",)}
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_negative_block_has_a_label_rule(self, undirected):
+        # Template a-b; positive g0 is a lone b vertex, negative g1 a lone a
+        # vertex. Mapping the b pattern vertex x1 onto g1's a vertex must
+        # saturate g1, or g1 counts as covered by the pattern [x1]; mapping
+        # the a vertex x0 there must not.
+        ds = Dataset(
+            template=build_graph(2, [(0, 1)], ["a", "b"], undirected),
+            examples=(
+                Example(0, ExampleClass.POSITIVE, build_graph(1, [], ["b"], undirected)),
+                Example(1, ExampleClass.NEGATIVE, build_graph(1, [], ["a"], undirected)),
+            ),
+            n_pos_threshold=1,
+            n_neg_threshold=0,
+        )
+        text = emit_asp(ds)
+        for x, want in (("x1", {("g1",)}), ("x0", set())):
+            guess = {("inpattern", (x,)), ("map", ("g1", x, "v0"))}
+            assert one_step(text, "saturated", facts(text) | guess) == want
 
     def test_threshold_constants_substituted(self):
         text = emit_asp(demo_dataset(n_pos_threshold=1, n_neg_threshold=0))

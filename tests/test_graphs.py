@@ -15,7 +15,7 @@ from patmine import (
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
 from patmine.miner import _signature
-from patmine.morphism import _candidates
+from patmine.morphism import _candidates, _needs
 
 from oracles import (
     closure_reachable,
@@ -80,7 +80,8 @@ class TestDegrees:
     """Degrees are counted over the edge set, without building the
     adjacency table, and equal each vertex's out- and in-neighbour counts.
     They are one cached (out-degrees, in-degrees) pair per graph, which the
-    canonicity signature and the search's candidate filter both read."""
+    canonicity signature and a pattern's search needs both read. A search
+    target reads its degrees off its table's degree masks instead."""
 
     @staticmethod
     def graphs():
@@ -124,10 +125,15 @@ class TestDegrees:
             assert "degrees" in vars(g) and "sym_adj" not in vars(g)
             degrees = vars(g)["degrees"]
             target = build_graph(g.n, g.edges, g.labels, g.undirected_input)
-            _candidates(g, target)
-            assert vars(g)["degrees"] is degrees and "degrees" in vars(target)
+            _candidates(_needs(g), target)
+            assert vars(g)["degrees"] is degrees and "degrees" not in vars(target)
             outs, ins = self.edge_counts(g)
             assert degrees == (tuple(map(len, outs)), tuple(map(len, ins)))
+            # The target's degree masks: "at least d" up to the largest.
+            for masks, nbrs in zip(vars(target)["target_table"][3:5], (outs, ins)):
+                assert len(masks) == max(map(len, nbrs), default=0) + 1
+                for d, mask in enumerate(masks):
+                    assert mask == sum(1 << v for v, a in enumerate(nbrs) if len(a) >= d)
 
 
 class TestReachable:

@@ -990,31 +990,46 @@ class TestNPosGiveUp:
 
 class TestExampleTables:
     """An example graph is only ever a search target. The scan reads the
-    dataset's pair index and the search the graph's label index and
-    degrees, so mining and coverage build no adjacency table for it."""
+    dataset's pair index and the search the graph's target table, built
+    once per graph, so mining and coverage build no adjacency table and no
+    degrees for it."""
 
-    ADJACENCY = {"sym_adj"}
+    OTHER_CACHES = {"sym_adj", "degrees"}
 
     def instances(self):
         return desk_scale_instances() + [demo_dataset()]
 
-    def assert_no_adjacency(self, datasets):
+    @staticmethod
+    def counting_tables(monkeypatch):
+        """Target tables built, by the id of the graph built for."""
+        built = Counter()
+        prop = LabeledGraph.__dict__["target_table"]
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda g: built.update([id(g)]) or real(g))
+        return built
+
+    def assert_one_table_each(self, datasets, built):
         searched = 0
         for ds in datasets:
             for ex in ds.examples:
-                assert not self.ADJACENCY & ex.graph.__dict__.keys()
-                searched += "degrees" in ex.graph.__dict__
+                assert not self.OTHER_CACHES & ex.graph.__dict__.keys()
+                has_table = "target_table" in ex.graph.__dict__
+                assert built[id(ex.graph)] == has_table
+                searched += has_table
         assert searched > 20
 
-    def test_mine_builds_no_example_adjacency(self):
+    def test_mine_builds_no_example_adjacency(self, monkeypatch):
+        built = self.counting_tables(monkeypatch)
         for strategy in Strategy:
             datasets = self.instances()
+            built.clear()
             for ds in datasets:
                 mine(ds, config(ds.n_pos_threshold, ds.n_neg_threshold,
                                 strategy=strategy))
-            self.assert_no_adjacency(datasets)
+            self.assert_one_table_each(datasets, built)
 
-    def test_coverage_builds_no_example_adjacency(self):
+    def test_coverage_builds_no_example_adjacency(self, monkeypatch):
+        built = self.counting_tables(monkeypatch)
         datasets = self.instances()
         for ds in datasets:
             for size in range(1, ds.template.n + 1):
@@ -1022,7 +1037,7 @@ class TestExampleTables:
                     pattern = induced_subgraph(ds.template, subset)
                     for cls in ExampleClass:
                         coverage(pattern, ds, cls)
-        self.assert_no_adjacency(datasets)
+        self.assert_one_table_each(datasets, built)
 
 
 def pair_index_instances(seed):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from itertools import islice
 
 import pytest
 
@@ -18,7 +19,14 @@ from patmine import (
     is_isomorphic,
 )
 from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
-from patmine.morphism import _candidates, _order, count_covered, iter_homomorphisms
+from patmine.morphism import (
+    _candidates,
+    _needs,
+    _order,
+    _plan,
+    count_covered,
+    iter_homomorphisms,
+)
 
 from oracles import (
     PatternTooLarge,
@@ -207,6 +215,39 @@ class TestIterHomomorphisms:
                     several += len(expected) > 1
                 assert several > 0
 
+    def test_wide_targets_match_recursive_reference(self):
+        # Targets of 65-100 vertices, so the candidate and neighbour masks
+        # pass one 64-bit machine word, with the vertex ids shuffled. Most
+        # patterns are random connected pieces of the target, renumbered;
+        # the rest are drawn at random and mostly have no mapping. The
+        # first 200 mappings of each search are compared.
+        rng = random.Random(73)
+        seen = Counter()
+        for undirected in (True, False):
+            kind = dict(labels=("a", "b", "c"), undirected=undirected, loops=True)
+            for _ in range(8):
+                n = rng.randrange(65, 101)
+                target = permuted(rng, random_graph(rng, n, edge_prob=0.05, **kind))
+                for _ in range(6):
+                    picked = [rng.randrange(n)]
+                    for _ in range(rng.randrange(1, 6)):
+                        ext = [w for v in picked for w in target.sym_adj[v]
+                               if w not in picked]
+                        if ext:
+                            picked.append(rng.choice(ext))
+                    piece = induced_subgraph(target, picked)
+                    drawn = random_graph(rng, len(picked), edge_prob=0.3, **kind)
+                    for pattern in (permuted(rng, piece), drawn):
+                        expected = list(islice(recursive_homomorphisms(pattern, target), 200))
+                        assert list(islice(iter_homomorphisms(pattern, target), 200)) == expected
+                        seen["found"] += bool(expected)
+                        seen["past 64"] += any(max(m) >= 64 for m in expected)
+                        seen["loop"] += any(u == v for u, v in pattern.edges)
+                        seen["antiparallel"] += not undirected and any(
+                            u != v and (v, u) in pattern.edges for u, v in pattern.edges)
+                        seen[f"undirected={undirected}"] += bool(expected)
+        assert min(seen.values()) > 10, seen
+
     def test_empty_pattern_yields_one_empty_mapping(self):
         empty = build_graph(0, [], [], True)
         for target in (empty, path_graph(3)):
@@ -220,10 +261,10 @@ class TestPlan:
 
     @staticmethod
     def split_plan(pattern, target):
-        """``_order`` and ``_candidates`` as (order, checks, candidates by
-        position), the shape of :meth:`reference_plan`; None where
+        """``_order`` and ``_candidates`` as (order, checks, candidate mask
+        by position), the shape of :meth:`reference_plan`; None where
         ``_candidates`` is None."""
-        per_vertex = _candidates(pattern, target)
+        per_vertex = _candidates(_needs(pattern), target)
         if per_vertex is None:
             return None
         order, checks = _order(pattern)
@@ -263,12 +304,12 @@ class TestPlan:
             return sum(a == v for a, _ in g.edges), sum(b == v for _, b in g.edges)
 
         candidates = [
-            [
-                t for t in range(target.n)
+            sum(
+                1 << t for t in range(target.n)
                 if target.labels[t] == pattern.labels[v]
                 and all(x >= y for x, y in zip(out_in(target, t), out_in(pattern, v)))
                 and ((v, v) not in edges or (t, t) in target.edges)
-            ]
+            )
             for v in order
         ]
         if not all(candidates):
@@ -304,11 +345,11 @@ class TestPlan:
 class TestCaches:
     """Each graph caches what every search into or from it reads: as a
     pattern its adjacency table, degrees and edge-label pairs, as a target
-    its per-label vertex index and degrees. The caches are read-only, so a
-    graph with warm caches plans, searches and compares exactly as a fresh
-    equal copy does."""
+    its table of masks. The caches are read-only, so a graph with warm
+    caches plans, searches and compares exactly as a fresh equal copy
+    does."""
 
-    CACHED = ("by_label", "label_pairs", "sym_adj", "degrees")
+    CACHED = ("target_table", "label_pairs", "sym_adj", "degrees")
 
     @staticmethod
     def fresh(g):
@@ -383,9 +424,9 @@ class TestCaches:
 
 
 class TestHandedOrder:
-    """The decomposed scan builds the pattern's order once and hands it to
-    each search; a search not handed one builds it only after every pattern
-    vertex has a candidate."""
+    """The decomposed scan builds the pattern's plan (order, checks and
+    needs) once and hands it to each search; a search not handed one
+    builds its order only after every pattern vertex has a candidate."""
 
     @staticmethod
     def instances(seed):
@@ -414,11 +455,11 @@ class TestHandedOrder:
         found = empty = 0
         for pattern, targets in self.instances(103):
             empty += pattern.n == 0
-            order = _order(pattern)
+            plan = _plan(pattern)
             for target in targets:
                 first = find_homomorphism(pattern, target)
-                assert find_homomorphism(pattern, target, order) == first
-                assert list(iter_homomorphisms(pattern, target, order)) == list(
+                assert find_homomorphism(pattern, target, plan) == first
+                assert list(iter_homomorphisms(pattern, target, plan)) == list(
                     iter_homomorphisms(pattern, target)
                 )
                 found += first is not None
