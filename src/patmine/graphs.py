@@ -90,8 +90,13 @@ class LabeledGraph:
 
     @cached_property
     def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(out-degrees, in-degrees), counted in one pass over the edges."""
+        """(out-degrees, in-degrees), counted in one pass over the edges; an
+        undirected graph counts its closure once and gives one tuple twice."""
         out, inn = [0] * self.n, [0] * self.n
+        if self.undirected_input:
+            for u, _ in self.edges:
+                out[u] += 1
+            return (out := tuple(out)), out
         for u, v in self.edges:
             out[u] += 1
             inn[v] += 1
@@ -255,23 +260,21 @@ def is_connected(g: LabeledGraph) -> bool:
 def induced_subgraph(g: LabeledGraph, subset: Iterable[VertexId]) -> LabeledGraph:
     """Subgraph induced by ``subset``, densely re-indexed in ascending id order.
 
-    The returned graph's ``orig_ids`` maps each new dense id back to the
-    original vertex id in ``g``.
+    Keeps each ``sym_adj`` neighbour inside the subset: all of them in an
+    undirected ``g``, only successors in a directed one. ``orig_ids`` maps
+    each new dense id back to its vertex id in ``g``. A vertex outside ``g``
+    raises :class:`VertexNotInGraph`, naming the first in sorted order.
     """
     order = sorted(set(subset))
-    for v in order:
-        if not (0 <= v < g.n):
-            raise VertexNotInGraph(f"vertex {v} not in graph of size {g.n}")
+    if order and not (0 <= order[0] and order[-1] < g.n):
+        v = next(v for v in order if not 0 <= v < g.n)
+        raise VertexNotInGraph(f"vertex {v} not in graph of size {g.n}")
     remap = {old: new for new, old in enumerate(order)}
-    sym_adj, edges = g.sym_adj, g.edges
+    sym_adj, edges, labels, undirected = g.sym_adj, g.edges, g.labels, g.undirected_input
     kept = frozenset([
         (remap[u], remap[v]) for u in order for v in sym_adj[u]
-        if v in remap and (u, v) in edges
+        if v in remap and (undirected or (u, v) in edges)
     ])
     return LabeledGraph(
-        n=len(order),
-        edges=kept,
-        labels=tuple([g.labels[v] for v in order]),
-        undirected_input=g.undirected_input,
-        orig_ids=tuple(order),
+        len(order), kept, tuple([labels[v] for v in order]), undirected, tuple(order)
     )

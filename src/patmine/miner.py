@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import or_
 from typing import Iterator
@@ -114,18 +114,24 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
 def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """One round of colour refinement: each vertex's (label, out-degree,
     in-degree), extended by the sorted colours of its out- and
-    in-neighbours. Returns the sorted colours, equal for isomorphic graphs,
-    and the vertices in that order. Counted over the edge set and the
-    graph's cached degrees, which its searches read too, so a blocked
-    candidate builds no adjacency table."""
-    n, edges = g.n, g.edges
+    in-neighbours, or of its neighbours once if ``g`` is undirected (the two
+    lists are equal there). Returns the sorted colours, equal for isomorphic
+    graphs of one mode, and the vertices in that order. Counted over the
+    edge set and the graph's cached degrees, which its searches read too,
+    so a blocked candidate builds no adjacency table."""
+    n, edges, out = g.n, g.edges, [[] for _ in range(g.n)]
     colour = list(zip(g.labels, *g.degrees))
-    out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
-    for u, v in edges:
-        out[u].append(colour[v])
-        inn[v].append(colour[u])
-    colours = [(c, tuple(sorted(o)), tuple(sorted(i)))
-               for c, o, i in zip(colour, out, inn)]
+    if g.undirected_input:
+        for u, v in edges:
+            out[u].append(colour[v])
+        colours = [(c, tuple(sorted(o))) for c, o in zip(colour, out)]
+    else:
+        inn = [[] for _ in range(n)]
+        for u, v in edges:
+            out[u].append(colour[v])
+            inn[v].append(colour[u])
+        colours = [(c, tuple(sorted(o)), tuple(sorted(i)))
+                   for c, o, i in zip(colour, out, inn)]
     order = sorted(range(n), key=colours.__getitem__)
     return tuple(map(colours.__getitem__, order)), order
 
@@ -328,7 +334,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
         accepted: dict[tuple, dict[frozenset, _Entry]] = {}
         below, level = level, {}
         for subset in candidate_subsets(template, size):
-            known = [below.get(subset[:i] + subset[i + 1 :], 0) for i in range(size)]
+            known = [below.get(s, 0) for s in combinations(subset, size - 1)]
             if None in known:
                 level[subset] = None
                 continue

@@ -101,10 +101,12 @@ def bijection_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 def adjacency_signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     """Reference for ``miner._signature``: the same round of colour
     refinement, read from out- and in-neighbour lists built here from the
-    edge set and the graph's cached degrees. Each vertex's (label,
-    out-degree, in-degree), extended by the sorted colours of its out- and
-    in-neighbours; returns the sorted colours and the vertices in that
-    order."""
+    edge set and the graph's cached degrees, two lists in either mode. Each
+    vertex's (label, out-degree, in-degree), extended by the sorted colours
+    of its out- and in-neighbours; returns the sorted colours and the
+    vertices in that order. ``_signature`` keeps one list of an undirected
+    graph, so there the colours differ in shape but not in order or in
+    which graphs share them."""
     out = [[v for u, v in g.edges if u == x] for x in range(g.n)]
     inn = [[u for u, v in g.edges if v == x] for x in range(g.n)]
     colour = tuple(zip(g.labels, *g.degrees)).__getitem__
@@ -198,6 +200,50 @@ def exhaustive_pattern_classes(
                 classes.append(g)
         out[size] = classes
     return out
+
+
+def reference_mine(
+    dataset: Dataset, min_size: int = 1, max_size: int | None = None,
+    max_patterns: int | None = None,
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The mining problem's definition, with none of the miner's shortcuts.
+
+    Size by size from ``min_size`` to ``max_size`` (default: the template's
+    size), every vertex subset in lexicographic order is emitted when the
+    subgraph it induces (read here off the edge set) is connected, maps
+    into at least N+ positives and at most N- negatives (full brute-force
+    counts), and is not isomorphic to a subset emitted earlier at its size.
+    Returns (subset, positives covered, negatives covered) for the first
+    ``max_patterns`` emitted subsets. No level ends early and nothing is
+    pruned, memoised or keyed.
+    """
+    template = dataset.template
+    top = template.n if max_size is None else min(max_size, template.n)
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    for size in range(min_size, top + 1):
+        accepted: list[LabeledGraph] = []
+        for subset in itertools.combinations(range(template.n), size):
+            new_id = {v: i for i, v in enumerate(subset)}
+            g = build_graph(
+                size,
+                [(new_id[u], new_id[v]) for u, v in template.edges
+                 if u in new_id and v in new_id],
+                [template.labels[v] for v in subset],
+                template.undirected_input,
+            )
+            if not unionfind_connected(g):
+                continue
+            pos = covered(g, dataset.positives())
+            if pos < dataset.n_pos_threshold:
+                continue
+            neg = covered(g, dataset.negatives())
+            if neg > dataset.n_neg_threshold:
+                continue
+            if any(bijection_isomorphic(g, a) for a in accepted):
+                continue
+            accepted.append(g)
+            out.append((subset, pos, neg))
+    return out[:max_patterns]
 
 
 def recursive_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):

@@ -119,6 +119,24 @@ class TestDegrees:
             isolated += sum(not a and not b for a, b in zip(outs, ins))
         assert loops > 50 and isolated > 20
 
+    def test_undirected_degrees_are_one_tuple_given_twice(self):
+        # The closure holds (v, u) with each (u, v): out- and in-degrees are
+        # equal, so they are counted once and are one object. Directed
+        # graphs keep two tuples. Both equal the edge-set counts.
+        shared = 0
+        for g in [build_graph(1, [], "a", True), build_graph(1, [(0, 0)], "a", True),
+                  *self.graphs()]:
+            out_degree, in_degree = g.degrees
+            outs, ins = self.edge_counts(g)
+            assert out_degree == tuple(map(len, outs))
+            assert in_degree == tuple(map(len, ins))
+            if g.undirected_input:
+                assert out_degree is in_degree
+                shared += 1
+            elif any(out_degree):
+                assert out_degree is not in_degree
+        assert shared > 80
+
     def test_signature_and_candidates_read_one_degree_pass(self):
         for g in self.graphs():
             _signature(g)
@@ -245,3 +263,59 @@ class TestInducedSubgraph:
                         sub = induced_subgraph(g, subset)
                         assert sub.edges == expected
                         assert sub.labels == tuple(g.labels[v] for v in sorted(subset))
+
+    @staticmethod
+    def reference(g, subset):
+        """The induced subgraph read off the edge set: every edge with both
+        ends in the subset, renumbered in ascending id order."""
+        order = sorted(set(subset))
+        new_id = {v: i for i, v in enumerate(order)}
+        edges = {(new_id[u], new_id[v]) for u, v in g.edges
+                 if u in new_id and v in new_id}
+        return (len(order), edges, tuple(g.labels[v] for v in order),
+                g.undirected_input, tuple(order))
+
+    def test_equals_the_edge_set_reference_on_both_modes(self):
+        # Every subset of seeded graphs of both modes, with self-loops and
+        # isolated vertices, and n = 0 and 1.
+        rng = random.Random(41)
+        loops = isolated = 0
+        for undirected in (True, False):
+            graphs = [build_graph(0, [], [], undirected),
+                      build_graph(1, [], "a", undirected),
+                      build_graph(1, [(0, 0)], "b", undirected)]
+            graphs += [random_graph(rng, rng.randrange(2, 7), undirected=undirected,
+                                    loops=trial % 2 == 1, edge_prob=rng.uniform(0.1, 0.7))
+                       for trial in range(30)]
+            for g in graphs:
+                loops += sum((v, v) in g.edges for v in g.vertices())
+                isolated += sum(not a for a in g.sym_adj)
+                for size in range(g.n + 1):
+                    for subset in itertools.combinations(range(g.n), size):
+                        sub = induced_subgraph(g, reversed(subset))
+                        assert (sub.n, sub.edges, sub.labels, sub.undirected_input,
+                                sub.orig_ids) == self.reference(g, subset)
+        assert loops > 20 and isolated > 10
+
+    def test_directed_template_drops_in_only_neighbours(self):
+        # 1 is a neighbour of 0 and 2 in sym_adj, but only through 0 -> 1
+        # and 2 -> 1: a directed subgraph keeps those edges one way.
+        g = build_graph(3, [(0, 1), (2, 1)], "abc", undirected=False)
+        assert g.sym_adj[1] == (0, 2)
+        assert induced_subgraph(g, [0, 1, 2]).edges == {(0, 1), (2, 1)}
+        assert induced_subgraph(g, [1, 2]).edges == {(1, 0)}
+        undirected = build_graph(3, [(0, 1), (2, 1)], "abc", undirected=True)
+        assert induced_subgraph(undirected, [1, 2]).edges == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    @pytest.mark.parametrize("subset,named", [
+        ([0, 42], 42), ([7, 5, 0], 5), ([-2, 0, 5], -2), ([4], 4),
+        ({1, 9, 4, 2}, 4), ([-1, -3], -3),
+    ])
+    def test_out_of_range_names_the_first_vertex_of_the_sorted_subset(
+        self, undirected, subset, named
+    ):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)], "abab", undirected)
+        with pytest.raises(VertexNotInGraph) as err:
+            induced_subgraph(g, subset)
+        assert str(err.value) == f"vertex {named} not in graph of size 4"

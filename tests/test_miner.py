@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -37,6 +38,7 @@ from oracles import (
     brute_force_homomorphisms,
     exhaustive_pattern_classes,
     random_graph,
+    reference_mine,
     unionfind_connected,
 )
 from test_acceptance import desk_scale_instances
@@ -313,22 +315,50 @@ class TestOccurrenceSignature:
                 assert len(sigs) == 1
 
     def test_signature_equals_the_adjacency_reference(self):
-        # The signature counts over the edge set; the reference reads its
-        # own neighbour lists and the degree tables. Same colours, same
-        # order, on seeded graphs with self-loops and isolated vertices, and
-        # on n = 0 and 1.
+        # The reference reads out- and in-neighbour lists off the edge set;
+        # the signature reads the same two of a directed graph and one
+        # neighbour list of an undirected one, where both are equal. Same
+        # vertex order, the same colours when directed and the reference's
+        # colours less their equal in-part when undirected, on seeded graphs
+        # with self-loops and isolated vertices, and on n = 0 and 1. Over
+        # each level of the seeded templates, both give the same partition
+        # into equal signatures, which are the blocking buckets.
         rng = random.Random(97)
-        graphs = [build_graph(0, [], [], False), build_graph(1, [], "a", False),
-                  build_graph(1, [(0, 0)], "b", False)]
+        graphs = [build_graph(n, edges, "b"[:n], undirected)
+                  for undirected in (False, True)
+                  for n, edges in ((0, []), (1, []), (1, [(0, 0)]))]
         graphs += [
             random_graph(rng, rng.randrange(2, 9), edge_prob=(0.1, 0.3, 0.6)[trial % 3],
                          undirected=trial % 2 == 0, loops=trial % 4 >= 2)
             for trial in range(48)
         ]
         for g in graphs:
-            assert patmine.miner._signature(g) == adjacency_signature(g)
+            colours, order = patmine.miner._signature(g)
+            reference, reference_order = adjacency_signature(g)
+            assert order == reference_order
+            if g.undirected_input:
+                assert all(out == inn for _, out, inn in reference)
+                assert colours == tuple((c, out) for c, out, _ in reference)
+            else:
+                assert colours == reference
         assert sum(any((v, v) in g.edges for v in range(g.n)) for g in graphs) > 5
         assert sum(not all(g.sym_adj) for g in graphs) > 5
+
+        def blocks(level, signature):
+            groups = {}
+            for i, g in enumerate(level):
+                groups.setdefault(signature(g)[0], []).append(i)
+            return sorted(groups.values())
+
+        shared = 0
+        for t in SIGNATURE_TEMPLATES:
+            for k in range(1, 5):
+                level = [induced_subgraph(t, s)
+                         for s in patmine.miner._connected_ksubsets(t, k)]
+                partition = blocks(level, patmine.miner._signature)
+                assert partition == blocks(level, adjacency_signature)
+                shared += sum(len(b) > 1 for b in partition)
+        assert shared > 50
 
     def test_rank_keys_decide_isomorphism_of_tied_and_discrete_colourings(self):
         # Same-level subsets with equal signatures and at most
@@ -672,6 +702,81 @@ class TestMine:
         mono = mine(ds, MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
                                      strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in dec] == [r.subset for r in mono]
+
+
+def reference_instances():
+    """Sixty seeded small instances for :func:`oracles.reference_mine`:
+    directed and undirected, N- 0-2 and min size 1-3 in every combination
+    (each at least three times), one or two labels, self-loops in half the
+    graphs, sparse examples with isolated vertices. Templates have 3-6
+    vertices and examples 2-5, which keeps the brute-force counts cheap."""
+    rng = random.Random(113)
+    out = []
+    for i in range(60):
+        undirected, n_neg, min_size = i % 2 == 0, i // 2 % 3, 1 + i // 6 % 3
+        kind = dict(undirected=undirected, labels=("a", "b")[: 1 + i // 18 % 2])
+        template = random_graph(rng, rng.randrange(3, 7), edge_prob=rng.uniform(0.3, 0.6),
+                                loops=rng.random() < 0.5, **kind)
+        # Positives dense, negatives sparse, so that N- leaves some patterns.
+        n_pos, n_graphs = rng.randrange(1, 4), rng.randrange(3, 7)
+        graphs = [
+            random_graph(rng, rng.randrange(2, 7), edge_prob=rng.uniform(*(
+                (0.4, 0.9) if g < n_pos else (0.1, 0.5))), loops=rng.random() < 0.5, **kind)
+            for g in range(n_graphs)
+        ]
+        examples = tuple(
+            Example(g, ExampleClass.POSITIVE if g < n_pos else ExampleClass.NEGATIVE, graph)
+            for g, graph in enumerate(graphs)
+        )
+        dataset = Dataset(template, examples, rng.randint(1, min(n_pos, 2)), n_neg)
+        out.append((dataset, min_size))
+    return out
+
+
+REFERENCE_INSTANCES = reference_instances()
+
+
+@functools.lru_cache(maxsize=None)
+def reference_result(i):
+    """``reference_mine`` on instance ``i``, computed once for both strategies."""
+    dataset, min_size = REFERENCE_INSTANCES[i]
+    return reference_mine(dataset, min_size)
+
+
+class TestReferenceMine:
+    """``mine()`` against the problem's definition (``reference_mine``),
+    which has no early end, pruning, known misses, label-pair test, N+
+    give-up, equal-graph memo, colour-rank key or handed plan."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_emits_the_reference_subsets(self, strategy):
+        emitted = large = 0
+        for i, (dataset, min_size) in enumerate(REFERENCE_INSTANCES):
+            expected = reference_result(i)
+            results = mine(dataset, config(
+                dataset.n_pos_threshold, dataset.n_neg_threshold,
+                min_pattern_size=min_size, strategy=strategy,
+            ))
+            assert [r.subset for r in results] == [s for s, _, _ in expected], i
+            # The miner's counts stop early, so they bound the full ones.
+            for r, (_, pos, neg) in zip(results, expected):
+                assert dataset.n_pos_threshold <= r.positive_covered <= pos
+                assert r.negative_covered <= neg <= dataset.n_neg_threshold
+            emitted += len(results)
+            large += any(len(r.subset) >= 3 for r in results)
+        assert emitted > 150 and large > 15
+
+    def test_instances_cover_the_stated_range(self):
+        combos = Counter(
+            (d.template.undirected_input, d.n_neg_threshold, min_size)
+            for d, min_size in REFERENCE_INSTANCES
+        )
+        assert len(combos) == 18 and min(combos.values()) >= 3
+        graphs = [g for d, _ in REFERENCE_INSTANCES
+                  for g in (d.template, *(ex.graph for ex in d.examples))]
+        assert sum(any((v, v) in g.edges for v in g.vertices()) for g in graphs) > 100
+        assert sum(not all(g.sym_adj) for g in graphs) > 80
+        assert sum(bool(d.negatives()) for d, _ in REFERENCE_INSTANCES) > 50
 
 
 def unpruned_mine(dataset, config):

@@ -341,6 +341,26 @@ class TestPlan:
                     start_ties += degree.count(max(degree, default=0)) > 1
         assert planned > 300 and disconnected > 20 and start_ties > 50
 
+    def test_undirected_pattern_checks_both_directions_in_a_directed_target(self):
+        # An undirected edge is (0, 1) and (1, 0) in the pattern's edge set,
+        # so ``_order`` gives it two checks at one position. They AND the
+        # same mask in an undirected target, but not in a directed one: in
+        # the directed 3-cycle every vertex has out- and in-degree 1, so
+        # both pattern vertices have every candidate, and only the second
+        # check rules out each one-way edge. With both directions of
+        # 0 -> 1 the edge maps onto them.
+        pattern = build_graph(2, [(0, 1)], "aa", undirected=True)
+        order, checks = _order(pattern)
+        assert sorted(checks[1]) == [(0, False), (0, True)]
+        cycle = [(0, 1), (1, 2), (2, 0)]
+        one_way = build_graph(3, cycle, "aaa", undirected=False)
+        assert _candidates(_needs(pattern), one_way) == [0b111, 0b111]
+        assert find_homomorphism(pattern, one_way) is None
+        assert brute_force_homomorphisms(pattern, one_way) == []
+        both = build_graph(3, [*cycle, (1, 0)], "aaa", undirected=False)
+        assert find_homomorphism(pattern, both) == (0, 1)
+        assert brute_force_homomorphisms(pattern, both) == [(0, 1), (1, 0)]
+
 
 class TestCaches:
     """Each graph caches what every search into or from it reads: as a
