@@ -19,9 +19,9 @@ from operator import or_
 from typing import Iterator
 
 from .graphs import Dataset, ExampleClass, LabeledGraph, cached_property, induced_subgraph
-# ``coverage`` is not called here. The benchmark's tracer
-# (perfbench/spans.py) and its tests look the name up in this module.
-from .morphism import count_covered, coverage, is_isomorphic, iter_homomorphisms
+# ``coverage`` and ``is_isomorphic`` are not called here. The benchmark's
+# tracer (perfbench/spans.py) and its tests look the names up in this module.
+from .morphism import count_covered, coverage, find_homomorphism, is_isomorphic, iter_homomorphisms
 
 
 class Strategy(Enum):
@@ -136,7 +136,7 @@ def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
     return tuple(map(colours.__getitem__, order)), order
 
 
-# Above this many renumberings, is_isomorphic decides a tied colouring. On
+# Above this many renumberings, a search decides a tied colouring. On
 # 6-vertex patterns the first key costs 9-12 us, each further one 4-7 us,
 # and one blocking search 43-74 us (2 vCPUs, Python 3.11; BENCH_14.json),
 # so 24 keys cost about one search when the hit comes halfway through.
@@ -157,38 +157,91 @@ class _Entry:
         cuts = [0, *(i for i in range(1, len(s)) if s[i] != s[i - 1]), len(s)]
         return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
 
-    def keys(self) -> Iterator[frozenset[tuple[int, int]]]:
+    @cached_property
+    def key(self) -> frozenset[tuple[int, int]]:
+        """The entry's own key, the first of :meth:`keys`."""
+        return next(self.keys())[0]
+
+    def keys(self) -> Iterator[tuple[frozenset[tuple[int, int]], list[int]]]:
         """The edges with each vertex renumbered by its colour rank, under
         each order that permutes only vertices of equal colour (there are
-        ``prod(len(tie)!)``), the entry's own order first."""
+        ``prod(len(tie)!)``), the entry's own order first, whose key is kept
+        as ``key``. Each key comes with the rank of every vertex, one list
+        renumbered in place."""
         order, ties = self.order, self.ties
         rank = sorted(range(len(order)), key=order.__getitem__)
         for ranks in product(*map(permutations, ties)):
             for tie, permuted in zip(ties, ranks):
                 for r, q in zip(tie, permuted):
                     rank[order[r]] = q
-            yield frozenset([(rank[u], rank[v]) for u, v in self.pattern.edges])
+            key = frozenset([(rank[u], rank[v]) for u, v in self.pattern.edges])
+            self.__dict__.setdefault("key", key)
+            yield key, rank
 
 
-def _entry(pattern: LabeledGraph, built: dict, accepted: dict) -> _Entry:
+def _entry(pattern: LabeledGraph, built: dict, accepted: dict) -> tuple[_Entry, tuple]:
     """The entry deciding ``pattern``, kept in ``built`` under its labels and
-    edges: that of an equal graph built earlier at the level, else that of
-    the isomorphic accepted pattern in its signature bucket (a dict from
-    each accepted pattern's own key), else a new one. An isomorphism maps
-    each vertex to one of the same colour, so the accepted pattern's order,
-    carried over, is one of the candidate's renumberings and gives the
-    same key. Up to ``_MAX_RENUMBERINGS`` the keys decide, above it
-    :func:`is_isomorphic` does."""
+    edges, and an isomorphism onto its pattern (the entry's dense id of
+    each vertex): that of an equal graph built earlier at the level, else
+    that of the isomorphic accepted pattern in its signature bucket (a dict
+    from each accepted pattern's own key), else a new one, with the
+    identity. An isomorphism maps each vertex to one of the same colour,
+    so the accepted pattern's order, carried over, is one of the
+    candidate's renumberings and gives the same key; the accepted order
+    read at the candidate's ranks maps one onto the other. Up to
+    ``_MAX_RENUMBERINGS`` the keys decide, above it
+    :func:`find_homomorphism` does (between graphs of one signature, so of
+    equal vertex and edge counts, a homomorphism is an isomorphism)."""
     graph = pattern.labels, pattern.edges
     if graph not in built:
         new = _Entry(pattern, *_signature(pattern))
         bucket = accepted.get(new.signature, {})
         if bucket and prod(factorial(len(t)) for t in new.ties) <= _MAX_RENUMBERINGS:
-            match = (bucket[key] for key in new.keys() if key in bucket)
+            match = ((e, tuple(map(e.order.__getitem__, rank)))
+                     for key, rank in new.keys() if (e := bucket.get(key)))
         else:
-            match = (e for e in bucket.values() if is_isomorphic(e.pattern, pattern))
-        built[graph] = next(match, new)
+            match = ((e, iso) for e in bucket.values()
+                     if (iso := find_homomorphism(pattern, e.pattern)) is not None)
+        built[graph] = next(match, (new, tuple(range(pattern.n))))
     return built[graph]
+
+
+def _extension(template: LabeledGraph, subset: tuple[int, ...], parents: dict,
+               extended: dict, maps: dict) -> tuple[int, ...] | None:
+    """The candidate of the level that first extended a class the way
+    ``subset`` does, if that is not ``subset`` itself, else None.
+
+    ``parents`` and ``maps`` hold, for each subset decided at the level
+    below and at this one, its class representative R and an isomorphism
+    onto R (R's dense id of each vertex). The parent T of ``subset`` is its
+    first one-smaller sub-subset in ``parents``; its extension key is T's
+    R, the label of the vertex w added to T, whether w has a self-loop,
+    and the masks of the R ids of w's out- and in-neighbours in T. Two
+    candidates with one key are both R plus one vertex attached the same
+    way, so they are isomorphic, and ``subset`` maps onto the first one's
+    representative through it. ``extended`` holds each key's first
+    candidate with its w and its parent's isomorphism."""
+    for i, parent in enumerate(combinations(subset, len(subset) - 1)):
+        if parent in parents:
+            break
+    else:
+        return None
+    p = len(subset) - 1 - i  # the i-th sub-subset lacks that position
+    (rep, iso), w, edges = parents[parent], subset[p], template.edges
+    out = inn = 0
+    for u, j in zip(parent, iso):
+        out |= ((w, u) in edges) << j
+        inn |= ((u, w) in edges) << j
+    key = rep, template.labels[w], (w, w) in edges, out, inn
+    first, q, first_iso = extended.setdefault(key, (subset, p, iso))
+    if first is subset:
+        return None
+    first_rep, first_map = maps[first]
+    via = dict(zip(first_iso, first_map[:q] + first_map[q + 1:]))
+    onto = [via[j] for j in iso]
+    onto.insert(p, first_map[q])
+    maps[subset] = first_rep, tuple(onto)
+    return first
 
 
 def candidate_subsets(template: LabeledGraph, size: int) -> Iterator[tuple[int, ...]]:
@@ -300,6 +353,12 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     order. Each level keeps the patterns it has accepted, bucketed by
     signature; a candidate isomorphic to one in its bucket is blocked, so no
     two emitted patterns of a level are isomorphic (see :func:`_entry`).
+    Each subset a level decides keeps the subset whose entry decided it,
+    its class representative, and an isomorphism onto it. A candidate
+    that extends the class of its parent (a one-smaller sub-subset) the
+    way an earlier candidate of its level did is isomorphic to that one
+    and takes its decision unbuilt, the isomorphism composed (see
+    :func:`_extension`); otherwise it is built and :func:`_entry` decides.
     Validity is the same for isomorphic subsets, so each emitted subset is
     the lexicographically first of its isomorphism class. Coverage runs
     serially in the calling thread. The sequence of emitted patterns is
@@ -315,7 +374,9 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     connected (k+1)-subset contains a connected k-subset. A blocked subset
     is isomorphic to an accepted pattern, hence frequent, and records that
     pattern's miss mask; a candidate equal to a graph built earlier at its
-    level records that graph's entry unevaluated. An evaluated candidate
+    level records that graph's entry unevaluated, and one decided by an
+    extension key records that of the earlier candidate, so a copy of a
+    rejected pattern is not evaluated again. An evaluated candidate
     starts from the ``|`` of its one-smaller sub-subsets' miss masks, which
     the decomposed counts skip without a search. Only the previous level's
     record is kept. Skipping a known miss never changes a count.
@@ -328,18 +389,24 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
     level: dict[tuple[int, ...], int | None] = {}
+    maps: dict[tuple[int, ...], tuple] = {}  # subset -> (representative, isomorphism)
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        built: dict[tuple, _Entry] = {}  # by (labels, edges)
+        built: dict[tuple, tuple[_Entry, tuple]] = {}  # by (labels, edges)
         accepted: dict[tuple, dict[frozenset, _Entry]] = {}
-        below, level = level, {}
+        extended: dict[tuple, tuple] = {}  # by extension key
+        below, level, parents, maps = level, {}, maps, {}
         for subset in candidate_subsets(template, size):
             known = [below.get(s, 0) for s in combinations(subset, size - 1)]
             if None in known:
                 level[subset] = None
                 continue
+            if parents and (first := _extension(template, subset, parents, extended, maps)):
+                level[subset] = level[first]
+                continue
             pattern = induced_subgraph(template, subset)
-            entry = _entry(pattern, built, accepted)
+            entry, iso = _entry(pattern, built, accepted)
+            maps[subset] = entry.pattern.orig_ids, iso
             if entry.pattern is not pattern:
                 level[subset] = level[entry.pattern.orig_ids]
                 continue
@@ -360,7 +427,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 )
             )
             t_prev = now
-            accepted.setdefault(entry.signature, {})[next(entry.keys())] = entry
+            accepted.setdefault(entry.signature, {})[entry.key] = entry
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
         if all(m is None for m in level.values()):

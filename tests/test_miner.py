@@ -121,46 +121,79 @@ def renumberings(signature):
 
 def decided_by(monkeypatch, dataset, cfg):
     """Mine ``dataset`` and return the results and, for each candidate
-    that ``miner._entry`` settled with another pattern's entry, in scan
-    order: (candidate, that entry, path). The path is the step that
-    decides it: "equal" when a graph with the same labels and edges was
-    built earlier at the level, else "key" (renumbered colour-rank keys)
-    when the colouring has at most ``miner._MAX_RENUMBERINGS``
-    renumberings, else "search" (``is_isomorphic``)."""
+    that took another subset's decision, in scan order: (candidate,
+    that subset, path, built), subsets as tuples. The path is the step
+    that decides it: "extension" when ``miner._extension`` finds an
+    earlier candidate of the level that extended a class the same way
+    (the candidate is yielded, not pruned and never built, and built is
+    None), else ``miner._entry`` settles it with another pattern's entry
+    and built is (the candidate's graph, that entry): "equal" when a
+    graph with the same labels and edges was built earlier at the level,
+    else "key" (renumbered colour-rank keys) when the colouring has at
+    most ``miner._MAX_RENUMBERINGS`` renumberings, else "search"
+    (``find_homomorphism``)."""
     shared = []
-    real = patmine.miner._entry
+    real_entry, real_extension = patmine.miner._entry, patmine.miner._extension
 
-    def recorded(pattern, built, accepted):
+    def entry(pattern, built, accepted):
         equal = (pattern.labels, pattern.edges) in built
-        entry = real(pattern, built, accepted)
-        if entry.pattern is not pattern:
-            above = renumberings(entry.signature) > patmine.miner._MAX_RENUMBERINGS
+        found, iso = real_entry(pattern, built, accepted)
+        if found.pattern is not pattern:
+            above = renumberings(found.signature) > patmine.miner._MAX_RENUMBERINGS
             path = "equal" if equal else "search" if above else "key"
-            shared.append((pattern, entry, path))
-        return entry
+            shared.append((pattern.orig_ids, found.pattern.orig_ids, path,
+                           (pattern, found)))
+        return found, iso
 
-    monkeypatch.setattr(patmine.miner, "_entry", recorded)
+    def extension(template, subset, *level):
+        first = real_extension(template, subset, *level)
+        if first is not None:
+            shared.append((subset, first, "extension", None))
+        return first
+
+    monkeypatch.setattr(patmine.miner, "_entry", entry)
+    monkeypatch.setattr(patmine.miner, "_extension", extension)
     results = mine(dataset, cfg)
     monkeypatch.undo()
     return results, shared
+
+
+def owners(shared):
+    """Each candidate in ``shared`` (from :func:`decided_by`) mapped to the
+    subset whose own decision it took: an extension's first candidate was
+    built, and is that subset or was decided by it."""
+    owner: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for candidate, decider, _, _ in shared:
+        owner[candidate] = owner.get(decider, decider)
+    return owner
 
 
 def occurrences(monkeypatch, template, min_size=1, max_size=None, paths=None):
     """Mine ``template`` with vacuous thresholds, so every candidate is
     valid, and map each emitted subset to its occurrences in the template:
     itself, then the candidates blocked as isomorphic to it, in scan order.
-    With every candidate valid, each shared entry is a blocking one; the
-    path that found it is counted in ``paths`` when one is given."""
+    With every candidate valid, each shared decision is a blocking one: an
+    extension takes that of an earlier candidate, which is emitted or
+    blocked itself. The path that found it is counted in ``paths`` when
+    one is given."""
     ds = Dataset(template=template, examples=(), n_pos_threshold=0,
                  n_neg_threshold=0)
     results, shared = decided_by(monkeypatch, ds, config(
         n_pos=0, min_pattern_size=min_size, max_pattern_size=max_size))
+    owner = owners(shared)
     blocked: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for candidate, entry, path in shared:
-        blocked.setdefault(entry.pattern.orig_ids, []).append(candidate.orig_ids)
+    for candidate, _, path, _ in shared:
+        blocked.setdefault(owner[candidate], []).append(candidate)
         if paths is not None:
             paths[path] += 1
     return {r.subset: [r.subset, *blocked.get(r.subset, [])] for r in results}
+
+
+def two_cycles():
+    """Two one-label directed 5-cycles, numbered along the cycle and in
+    steps of 2: 5! = 120 renumberings each, above the key bound."""
+    return build_graph(10, [(v, (v + 1) % 5) for v in range(5)]
+                       + [(5 + v, 5 + (v + 2) % 5) for v in range(5)], "a" * 10, False)
 
 
 class TestTemplateOccurrences:
@@ -188,23 +221,24 @@ class TestTemplateOccurrences:
     def test_equals_brute_force_isomorphic_subsets(self, monkeypatch):
         # Each level emits the lexicographically first subset of every
         # isomorphism class, and blocks exactly the rest of the class.
-        # All three ways of finding the blocking pattern occur: the random
+        # All four ways of finding the blocking pattern occur: the random
         # templates' subsets of up to 4 vertices have at most 4! = 24
         # renumberings, while two one-label directed 5-cycles, numbered
         # along the cycle and in steps of 2, have 5! = 120, above the bound.
+        # Mined from size 1, the second cycle extends a 4-path the way the
+        # first does and takes its decision by extension key; mined from
+        # size 5, where no level below is kept, the search decides it.
         rng = random.Random(53)
         checked = 0
         paths = Counter()
         templates = [(random_graph(
             rng, rng.randrange(4, 8), edge_prob=0.5,
             undirected=trial % 2 == 0, loops=trial % 4 >= 2,
-        ), 4) for trial in range(24)]
-        cycles = build_graph(10, [(v, (v + 1) % 5) for v in range(5)]
-                             + [(5 + v, 5 + (v + 2) % 5) for v in range(5)],
-                             "a" * 10, False)
-        for t, top in [*templates, (cycles, 5)]:
-            occ = occurrences(monkeypatch, t, 1, top, paths)
-            for k in range(1, top + 1):
+        ), 1, 4) for trial in range(24)]
+        cycles = two_cycles()
+        for t, low, top in [*templates, (cycles, 1, 5), (cycles, 5, 5)]:
+            occ = occurrences(monkeypatch, t, low, top, paths)
+            for k in range(low, top + 1):
                 classes: list[list[tuple[int, ...]]] = []
                 for s in itertools.combinations(range(t.n), k):
                     g = induced_subgraph(t, s)
@@ -220,7 +254,7 @@ class TestTemplateOccurrences:
                 assert level == {cls[0]: cls for cls in classes}
                 checked += sum(len(cls) > 1 for cls in classes)
         assert checked > 0
-        assert set(paths) == {"equal", "key", "search"}, paths
+        assert set(paths) == {"equal", "key", "search", "extension"}, paths
 
 
 def signature_templates():
@@ -396,69 +430,75 @@ class TestOccurrenceSignature:
                 for group in groups.values():
                     for (a, ea), (b, eb) in itertools.combinations(group, 2):
                         same = bijection_isomorphic(a, b)
-                        assert (next(ea.keys()) in set(eb.keys())) == same
+                        assert (ea.key in {key for key, _ in eb.keys()}) == same
                         outcomes[same, renumberings(ea.signature) > 1] += 1
         assert len(outcomes) == 4, outcomes
 
     def test_search_decides_above_the_renumbering_bound(self, monkeypatch):
         # A one-label directed 5-cycle has 5! = 120 renumberings, above the
-        # bound, so is_isomorphic decides: true against a renumbered copy,
-        # false against a 2-cycle beside a 3-cycle, which has the same
-        # signature.
+        # bound, so a homomorphism search decides: its mapping against a
+        # renumbered copy, none against a 2-cycle beside a 3-cycle, which
+        # has the same signature. The mapping is the isomorphism returned.
         cycle = build_graph(5, [(v, (v + 1) % 5) for v in range(5)], "a" * 5, False)
         copy = build_graph(5, [(v, (v + 2) % 5) for v in range(5)], "a" * 5, False)
         split = build_graph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)], "a" * 5, False)
         accepted_entry = patmine.miner._Entry(cycle, *patmine.miner._signature(cycle))
         assert renumberings(accepted_entry.signature) == 120
         assert 120 > patmine.miner._MAX_RENUMBERINGS
-        accepted = {accepted_entry.signature: {next(accepted_entry.keys()): accepted_entry}}
+        accepted = {accepted_entry.signature: {accepted_entry.key: accepted_entry}}
         verdicts = []
-        real = patmine.miner.is_isomorphic
-        monkeypatch.setattr(patmine.miner, "is_isomorphic",
+        real = patmine.miner.find_homomorphism
+        monkeypatch.setattr(patmine.miner, "find_homomorphism",
                             lambda g1, g2: verdicts.append(real(g1, g2)) or verdicts[-1])
         for g, same in ((copy, True), (split, False)):
             assert patmine.miner._signature(g)[0] == accepted_entry.signature
             assert bijection_isomorphic(cycle, g) == same
-            entry = patmine.miner._entry(g, {}, accepted)
+            entry, iso = patmine.miner._entry(g, {}, accepted)
             assert (entry is accepted_entry) == same
             assert (entry.pattern is g) == (not same)
-        assert verdicts == [True, False]
+            assert iso == (verdicts[-1] if same else tuple(range(5)))
+        assert [mapping is not None for mapping in verdicts] == [True, False]
+        assert {(verdicts[0][u], verdicts[0][v]) for u, v in copy.edges} == cycle.edges
 
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
-        # 1,162 candidates are blocked. An equal graph built earlier decides
-        # 481 and the renumbered colour-rank keys 681 (419 with all-distinct
-        # colours, one renumbering; 262 tied, with 2 to 12), without a
-        # search: is_isomorphic is never called.
-        # One more candidate equals an earlier graph that failed N+ and
-        # shares its entry, unevaluated. No blocked candidate builds an
-        # adjacency table.
+        # 1,162 candidates are blocked. An extension key decides 945 of
+        # them unbuilt; of the 217 built, an equal graph built earlier
+        # decides 25 and the renumbered colour-rank keys 192 (112 with
+        # all-distinct colours, one renumbering; 80 tied), without a
+        # search: no homomorphism search decides canonicity.
+        # One more candidate extends a class the way an earlier candidate
+        # that failed N+ did, and takes its record unevaluated. No blocked
+        # candidate builds an adjacency table.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
         verdicts = []
-        real = patmine.miner.is_isomorphic
+        real = patmine.miner.find_homomorphism
 
         def counted(g1, g2):
             verdicts.append(real(g1, g2))
             return verdicts[-1]
 
-        monkeypatch.setattr(patmine.miner, "is_isomorphic", counted)
+        monkeypatch.setattr(patmine.miner, "find_homomorphism", counted)
         results, shared = decided_by(monkeypatch, ds, config(max_pattern_size=6))
         emitted = {r.subset for r in results}
-        blocked = [(c, entry, path) for c, entry, path in shared
-                   if entry.pattern.orig_ids in emitted]
+        owner = owners(shared)
+        blocked = [(path, built) for candidate, _, path, built in shared
+                   if owner[candidate] in emitted]
         assert len(results) == 222
-        assert Counter(path for _, _, path in blocked) == {"equal": 481, "key": 681}
-        keyed = Counter(renumberings(entry.signature) > 1
-                        for _, entry, path in blocked if path == "key")
-        assert keyed == {False: 419, True: 262}
+        assert Counter(path for path, _ in blocked) == {
+            "extension": 945, "equal": 25, "key": 192}
+        keyed = Counter(renumberings(built[1].signature) > 1
+                        for path, built in blocked if path == "key")
+        assert keyed == {False: 112, True: 80}
         assert verdicts == []
-        assert not any("sym_adj" in c.__dict__ for c, _, _ in blocked)
-        rejected = [entry.pattern for _, entry, _ in shared
-                    if entry.pattern.orig_ids not in emitted]
-        assert len(rejected) == 1
-        assert is_valid_pattern(rejected[0], ds, config()) == (False, 0, 0)
+        assert not any("sym_adj" in built[0].__dict__ for path, built in blocked
+                       if built is not None)
+        rejected = [(owner[c], path) for c, _, path, _ in shared if owner[c] not in emitted]
+        assert [path for _, path in rejected] == ["extension"]
+        pattern = induced_subgraph(ds.template, rejected[0][0])
+        assert is_valid_pattern(pattern, ds, config()) == (False, 0, 0)
 
 
 class TestEvaluateStrategy:
@@ -746,7 +786,8 @@ def reference_result(i):
 class TestReferenceMine:
     """``mine()`` against the problem's definition (``reference_mine``),
     which has no early end, pruning, known misses, label-pair test, N+
-    give-up, equal-graph memo, colour-rank key or handed plan."""
+    give-up, extension key, equal-graph memo, colour-rank key or handed
+    plan."""
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_emits_the_reference_subsets(self, strategy):
@@ -842,7 +883,10 @@ class TestPruning:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_skipped_subsets_are_positive_infrequent(self, monkeypatch, strategy):
-        skipped_total = 0
+        # A subset mine() never builds is pruned (or past the last level),
+        # so positive-infrequent, or decided by an extension key, so
+        # isomorphic to a subset built earlier at its level.
+        skipped_total = Counter()
         for ds in PRUNING_INSTANCES:
             cfg = MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
                                strategy=strategy)
@@ -850,12 +894,19 @@ class TestPruning:
             skipped = yielded - built
             for size in range(max(levels) + 1, ds.template.n + 1):
                 skipped.update(candidate_subsets(ds.template, size))
-            for subset in skipped:
+            for subset in sorted(skipped):
                 pattern = induced_subgraph(ds.template, subset)
                 rep = coverage(pattern, ds, ExampleClass.POSITIVE)
-                assert rep.positive_covered < ds.n_pos_threshold, subset
-            skipped_total += len(skipped)
-        assert skipped_total > 0
+                if rep.positive_covered < ds.n_pos_threshold:
+                    skipped_total["infrequent"] += 1
+                    continue
+                assert any(
+                    len(s) == len(subset) and s < subset
+                    and bijection_isomorphic(induced_subgraph(ds.template, s), pattern)
+                    for s in built
+                ), subset
+                skipped_total["isomorphic"] += 1
+        assert skipped_total["infrequent"] > 0 and skipped_total["isomorphic"] > 0
 
     def test_stops_after_first_level_without_frequent_subset(self, monkeypatch):
         # A branching template of 'a' vertices; every positive is a 3-path,
@@ -943,15 +994,18 @@ class TestKnownMisses:
 
     def test_search_counts(self, monkeypatch):
         # Pinned figures. The decomposed count holds the coverage searches
-        # and the blocking searches inside is_isomorphic (none here: an
-        # equal graph or the colour-rank key decides both blocked
-        # candidates). Widening or narrowing the miss skip moves it (739
-        # searches without the edge-label test, 1,219 without it and
-        # without known misses), and so does the N+ give-up (194 searches
-        # without it); the monolithic stream count depends on none of
-        # them. Both move with the number of evaluated candidates: 5
-        # candidates rejected by N- equal a graph evaluated earlier at
-        # their level and share its outcome unevaluated.
+        # and the blocking searches of ``miner._entry`` (none here: an
+        # equal graph decides both blocked candidates). Widening or
+        # narrowing the miss skip moves it (739 searches without the
+        # edge-label test, 1,219 without it and without known misses),
+        # and so does the N+ give-up (194 searches without it); the
+        # monolithic stream count depends on none of them. Both move with
+        # the number of evaluated candidates: 4 rejected candidates equal
+        # a graph evaluated earlier at their level and share its outcome
+        # unevaluated, and 3 extend a class the way an earlier rejected
+        # candidate did and take its record unevaluated (extension keys).
+        # Without the keys, 2 of those copies of rejected patterns were
+        # evaluated again: 183 searches and 1,972 streams.
         ds = search_counting_instance()
         finds, streams = [], []
         real_find = patmine.morphism.find_homomorphism
@@ -962,11 +1016,11 @@ class TestKnownMisses:
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
-        assert (len(dec), len(finds), len(streams)) == (23, 183, 0)
+        assert (len(dec), len(finds), len(streams)) == (23, 175, 0)
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
-        assert len(streams) == 1972
+        assert len(streams) == 1900
 
 
 def mined_and_searched(mp, instances, strategy, max_size):
@@ -1004,6 +1058,100 @@ class TestEdgeLabelTest:
             assert filtered_finds < plain_finds
         else:
             assert filtered_finds == plain_finds
+
+
+def extension_instances():
+    """Forty seeded instances with their min size (1-3): directed and
+    undirected, self-loops in half, one or two labels, templates of 5-7
+    vertices. Two in five have no examples and vacuous thresholds, so
+    every subset is kept; the rest mine 2-4 examples against N+ 1-2 and
+    N- 0-1, so records are also rejected and pruned."""
+    rng = random.Random(131)
+    out = []
+    for i in range(40):
+        kind = dict(undirected=i % 2 == 0, loops=i // 2 % 2 == 1,
+                    labels=("a", "b")[: 1 + i // 4 % 2])
+        template = random_graph(rng, rng.randrange(5, 8), edge_prob=0.5, **kind)
+        graphs = [] if i % 5 < 2 else [
+            random_graph(rng, rng.randrange(3, 7), edge_prob=0.6, **kind)
+            for _ in range(rng.randrange(2, 5))
+        ]
+        n_pos = (len(graphs) + 1) // 2
+        examples = tuple(
+            Example(g, ExampleClass.POSITIVE if g < n_pos else ExampleClass.NEGATIVE, graph)
+            for g, graph in enumerate(graphs)
+        )
+        thresholds = (min(n_pos, rng.randint(1, 2)), rng.randint(0, 1)) if graphs else (0, 0)
+        out.append((Dataset(template, examples, *thresholds), 1 + i // 8 % 3))
+    return out
+
+
+class TestExtensionKeys:
+    def test_decisions_and_maps_are_isomorphisms(self, monkeypatch):
+        # Each subset an extension key decides is never built and is
+        # isomorphic to the first subset with its key, whose record it
+        # takes, that of a valid or of a rejected pattern; every subset a
+        # level decides maps onto its representative by a bijection that
+        # keeps labels, edges and self-loops. Mined from size 5, the two
+        # cycles' second map comes from a search.
+        seen = Counter()
+        cycles = (Dataset(two_cycles(), (), 0, 0), 5)
+        for ds, min_size in [*extension_instances(), cycles]:
+            t, levels, decided, built = ds.template, [], [], set()
+            real_extension, real_induced = patmine.miner._extension, induced_subgraph
+
+            def extension(template, subset, parents, extended, maps):
+                levels.extend(d for d in (parents, maps) if all(d is not x for x in levels))
+                first = real_extension(template, subset, parents, extended, maps)
+                if first is not None:
+                    decided.append((subset, first))
+                return first
+
+            monkeypatch.setattr(patmine.miner, "_extension", extension)
+            monkeypatch.setattr(patmine.miner, "induced_subgraph",
+                                lambda g, s: built.add(s) or real_induced(g, s))
+            mine(ds, config(ds.n_pos_threshold, ds.n_neg_threshold,
+                            min_pattern_size=min_size))
+            monkeypatch.undo()
+            for subset, first in decided:
+                assert subset not in built and first in built
+                g = induced_subgraph(t, subset)
+                assert bijection_isomorphic(induced_subgraph(t, first), g), subset
+                seen[is_valid_pattern(g, ds, config(ds.n_pos_threshold,
+                                                    ds.n_neg_threshold))[0]] += 1
+            for maps in levels:
+                for subset, (rep, iso) in maps.items():
+                    g, r = induced_subgraph(t, subset), induced_subgraph(t, rep)
+                    assert sorted(iso) == list(range(r.n)) and g.n == r.n
+                    assert [r.labels[iso[v]] for v in range(g.n)] == list(g.labels)
+                    assert {(iso[u], iso[v]) for u, v in g.edges} == r.edges
+                    seen["map"] += 1
+                    seen["self-loop"] += any(u == v for u, v in g.edges)
+                    seen["directed"] += not t.undirected_input and subset != rep
+        assert min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize("max_size", [None, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_neutralised_gives_same_results(self, strategy, max_size):
+        # With no parent found no key is made, which is the scan without
+        # extension keys: the same output, from more candidates built.
+        instances = PRUNING_INSTANCES + small_instances()
+
+        def mined_and_built(mp):
+            built = []
+            real = patmine.miner.induced_subgraph
+            mp.setattr(patmine.miner, "induced_subgraph",
+                       lambda g, s: built.append(s) or real(g, s))
+            results, _ = mined_and_searched(mp, instances, strategy, max_size)
+            return results, len(built)
+
+        with pytest.MonkeyPatch.context() as mp:
+            keyed, keyed_builds = mined_and_built(mp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patmine.miner, "_extension", lambda *level: None)
+            plain, plain_builds = mined_and_built(mp)
+        assert keyed == plain
+        assert keyed_builds < plain_builds
 
 
 def scan_rule(candidates, hit, need):
