@@ -2,9 +2,9 @@
 
 Patterns are connected induced subgraphs of the template, identified by
 template-vertex subsets. Candidates are scanned size by size in
-lexicographic subset order; a candidate isomorphic to a pattern accepted
-earlier at its size is skipped, so each level emits the first subset of
-each isomorphism class it accepts.
+lexicographic subset order; a candidate isomorphic to a pattern evaluated
+earlier at its size takes that pattern's outcome, so each level emits the
+first subset of each isomorphism class it accepts.
 """
 
 from __future__ import annotations
@@ -179,31 +179,31 @@ class _Entry:
             yield key, rank
 
 
-def _entry(pattern: LabeledGraph, built: dict, accepted: dict) -> tuple[_Entry, tuple]:
-    """The entry deciding ``pattern``, kept in ``built`` under its labels and
-    edges, and an isomorphism onto its pattern (the entry's dense id of
-    each vertex): that of an equal graph built earlier at the level, else
-    that of the isomorphic accepted pattern in its signature bucket (a dict
-    from each accepted pattern's own key), else a new one, with the
-    identity. An isomorphism maps each vertex to one of the same colour,
-    so the accepted pattern's order, carried over, is one of the
-    candidate's renumberings and gives the same key; the accepted order
-    read at the candidate's ranks maps one onto the other. Up to
+def _entry(pattern: LabeledGraph, classes: dict) -> tuple[_Entry, tuple]:
+    """The entry deciding ``pattern`` and an isomorphism onto its pattern
+    (the entry's dense id of each vertex). ``classes`` maps each signature
+    to the entries built at the level, accepted or rejected; the first of
+    the bucket that ``pattern`` is isomorphic to decides it, else a new
+    entry, appended, with the identity. An isomorphism maps each vertex to
+    one of the same colour, so a bucket entry's order, carried over, is one
+    of the candidate's renumberings and gives the entry's own key, made at
+    the first lookup of its bucket; the entry's order read at the
+    candidate's ranks maps one onto the other. Up to
     ``_MAX_RENUMBERINGS`` the keys decide, above it
     :func:`find_homomorphism` does (between graphs of one signature, so of
     equal vertex and edge counts, a homomorphism is an isomorphism)."""
-    graph = pattern.labels, pattern.edges
-    if graph not in built:
-        new = _Entry(pattern, *_signature(pattern))
-        bucket = accepted.get(new.signature, {})
-        if bucket and prod(factorial(len(t)) for t in new.ties) <= _MAX_RENUMBERINGS:
-            match = ((e, tuple(map(e.order.__getitem__, rank)))
-                     for key, rank in new.keys() if (e := bucket.get(key)))
-        else:
-            match = ((e, iso) for e in bucket.values()
-                     if (iso := find_homomorphism(pattern, e.pattern)) is not None)
-        built[graph] = next(match, (new, tuple(range(pattern.n))))
-    return built[graph]
+    new = _Entry(pattern, *_signature(pattern))
+    bucket = classes.setdefault(new.signature, [])
+    if bucket and prod(factorial(len(t)) for t in new.ties) <= _MAX_RENUMBERINGS:
+        match = ((e, tuple(map(e.order.__getitem__, rank)))
+                 for key, rank in new.keys() for e in bucket if e.key == key)
+    else:
+        match = ((e, iso) for e in bucket
+                 if (iso := find_homomorphism(pattern, e.pattern)) is not None)
+    found = next(match, None)
+    if found is None:
+        bucket.append(new)
+    return found or (new, tuple(range(pattern.n)))
 
 
 def _extension(template: LabeledGraph, subset: tuple[int, ...], parents: dict,
@@ -350,9 +350,10 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     """Enumerate canonical valid patterns, smallest size first.
 
     Within a size level, candidates are scanned in lexicographic subset
-    order. Each level keeps the patterns it has accepted, bucketed by
-    signature; a candidate isomorphic to one in its bucket is blocked, so no
-    two emitted patterns of a level are isomorphic (see :func:`_entry`).
+    order. Each level keeps every pattern it has evaluated, bucketed by
+    signature; a candidate isomorphic to one in its bucket takes that
+    pattern's outcome, so no two emitted patterns of a level are
+    isomorphic and no class is evaluated twice (see :func:`_entry`).
     Each subset a level decides keeps the subset whose entry decided it,
     its class representative, and an isomorphism onto it. A candidate
     that extends the class of its parent (a one-smaller sub-subset) the
@@ -371,15 +372,15 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     an N+ failure's count is a bound and its mask is dropped.
     A candidate with a one-smaller sub-subset recorded None is pruned
     unevaluated, and a level recording only None ends the run, since every
-    connected (k+1)-subset contains a connected k-subset. A blocked subset
-    is isomorphic to an accepted pattern, hence frequent, and records that
-    pattern's miss mask; a candidate equal to a graph built earlier at its
-    level records that graph's entry unevaluated, and one decided by an
-    extension key records that of the earlier candidate, so a copy of a
-    rejected pattern is not evaluated again. An evaluated candidate
-    starts from the ``|`` of its one-smaller sub-subsets' miss masks, which
-    the decomposed counts skip without a search. Only the previous level's
-    record is kept. Skipping a known miss never changes a count.
+    connected (k+1)-subset contains a connected k-subset. A candidate that
+    :func:`_entry` or an extension key decides records the entry of the
+    subset that decided it: a blocked subset is isomorphic to an accepted
+    pattern, hence frequent, and records that pattern's miss mask, and a
+    copy of a rejected pattern is not evaluated again. An evaluated
+    candidate starts from the ``|`` of its one-smaller sub-subsets' miss
+    masks, which the decomposed counts skip without a search. Only the
+    previous level's record is kept. Skipping a known miss never changes a
+    count.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -392,8 +393,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     maps: dict[tuple[int, ...], tuple] = {}  # subset -> (representative, isomorphism)
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        built: dict[tuple, tuple[_Entry, tuple]] = {}  # by (labels, edges)
-        accepted: dict[tuple, dict[frozenset, _Entry]] = {}
+        classes: dict[tuple, list[_Entry]] = {}  # by signature
         extended: dict[tuple, tuple] = {}  # by extension key
         below, level, parents, maps = level, {}, maps, {}
         for subset in candidate_subsets(template, size):
@@ -405,7 +405,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 level[subset] = level[first]
                 continue
             pattern = induced_subgraph(template, subset)
-            entry, iso = _entry(pattern, built, accepted)
+            entry, iso = _entry(pattern, classes)
             maps[subset] = entry.pattern.orig_ids, iso
             if entry.pattern is not pattern:
                 level[subset] = level[entry.pattern.orig_ids]
@@ -427,7 +427,6 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 )
             )
             t_prev = now
-            accepted.setdefault(entry.signature, {})[entry.key] = entry
             if config.max_patterns is not None and len(results) >= config.max_patterns:
                 return results
         if all(m is None for m in level.values()):

@@ -215,7 +215,7 @@ def reference_mine(
     counts), and is not isomorphic to a subset emitted earlier at its size.
     Returns (subset, positives covered, negatives covered) for the first
     ``max_patterns`` emitted subsets. No level ends early and nothing is
-    pruned, memoised or keyed.
+    pruned or keyed.
     """
     template = dataset.template
     top = template.n if max_size is None else min(max_size, template.n)

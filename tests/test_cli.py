@@ -186,14 +186,17 @@ class TestCheck:
         assert "example 1 (neg): homomorphism no" in out
         assert "valid" in out
 
-    def test_readme_example_matches_golden(self, capsys, tmp_path, golden_dir):
+    @pytest.mark.parametrize("strategy", ["decomposed", "monolithic"])
+    def test_readme_example_matches_golden(self, capsys, tmp_path, golden_dir, strategy):
         # README's mine and check commands on the demo; check prints each
         # example's verdict, read off the coverage miss mask. The pattern
-        # file, without its times, pins the subsets and their counts.
+        # file, without its times, pins the subsets and their counts, which
+        # both strategies establish alike on the demo.
         patterns = tmp_path / "patterns.txt"
         code, _, _ = run(
             capsys, "mine", "--examples", DEMO, "--npos", "1", "--nneg", "0",
-            "--min-size", "6", "--max-size", "6", "--out", str(patterns),
+            "--min-size", "6", "--max-size", "6", "--strategy", strategy,
+            "--out", str(patterns),
         )
         assert code == 0
         untimed = re.sub(r" time_ms=[0-9.]*", "", patterns.read_text(encoding="utf-8"))

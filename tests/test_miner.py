@@ -127,20 +127,18 @@ def decided_by(monkeypatch, dataset, cfg):
     earlier candidate of the level that extended a class the same way
     (the candidate is yielded, not pruned and never built, and built is
     None), else ``miner._entry`` settles it with another pattern's entry
-    and built is (the candidate's graph, that entry): "equal" when a
-    graph with the same labels and edges was built earlier at the level,
-    else "key" (renumbered colour-rank keys) when the colouring has at
-    most ``miner._MAX_RENUMBERINGS`` renumberings, else "search"
+    and built is (the candidate's graph, that entry): "key" (renumbered
+    colour-rank keys) when the colouring has at most
+    ``miner._MAX_RENUMBERINGS`` renumberings, else "search"
     (``find_homomorphism``)."""
     shared = []
     real_entry, real_extension = patmine.miner._entry, patmine.miner._extension
 
-    def entry(pattern, built, accepted):
-        equal = (pattern.labels, pattern.edges) in built
-        found, iso = real_entry(pattern, built, accepted)
+    def entry(pattern, classes):
+        found, iso = real_entry(pattern, classes)
         if found.pattern is not pattern:
             above = renumberings(found.signature) > patmine.miner._MAX_RENUMBERINGS
-            path = "equal" if equal else "search" if above else "key"
+            path = "search" if above else "key"
             shared.append((pattern.orig_ids, found.pattern.orig_ids, path,
                            (pattern, found)))
         return found, iso
@@ -221,7 +219,7 @@ class TestTemplateOccurrences:
     def test_equals_brute_force_isomorphic_subsets(self, monkeypatch):
         # Each level emits the lexicographically first subset of every
         # isomorphism class, and blocks exactly the rest of the class.
-        # All four ways of finding the blocking pattern occur: the random
+        # All three ways of finding the blocking pattern occur: the random
         # templates' subsets of up to 4 vertices have at most 4! = 24
         # renumberings, while two one-label directed 5-cycles, numbered
         # along the cycle and in steps of 2, have 5! = 120, above the bound.
@@ -254,7 +252,7 @@ class TestTemplateOccurrences:
                 assert level == {cls[0]: cls for cls in classes}
                 checked += sum(len(cls) > 1 for cls in classes)
         assert checked > 0
-        assert set(paths) == {"equal", "key", "search", "extension"}, paths
+        assert set(paths) == {"key", "search", "extension"}, paths
 
 
 def signature_templates():
@@ -445,7 +443,7 @@ class TestOccurrenceSignature:
         accepted_entry = patmine.miner._Entry(cycle, *patmine.miner._signature(cycle))
         assert renumberings(accepted_entry.signature) == 120
         assert 120 > patmine.miner._MAX_RENUMBERINGS
-        accepted = {accepted_entry.signature: {accepted_entry.key: accepted_entry}}
+        classes = {accepted_entry.signature: [accepted_entry]}
         verdicts = []
         real = patmine.miner.find_homomorphism
         monkeypatch.setattr(patmine.miner, "find_homomorphism",
@@ -453,7 +451,7 @@ class TestOccurrenceSignature:
         for g, same in ((copy, True), (split, False)):
             assert patmine.miner._signature(g)[0] == accepted_entry.signature
             assert bijection_isomorphic(cycle, g) == same
-            entry, iso = patmine.miner._entry(g, {}, accepted)
+            entry, iso = patmine.miner._entry(g, classes)
             assert (entry is accepted_entry) == same
             assert (entry.pattern is g) == (not same)
             assert iso == (verdicts[-1] if same else tuple(range(5)))
@@ -463,12 +461,13 @@ class TestOccurrenceSignature:
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
         # 1,162 candidates are blocked. An extension key decides 945 of
-        # them unbuilt; of the 217 built, an equal graph built earlier
-        # decides 25 and the renumbered colour-rank keys 192 (112 with
-        # all-distinct colours, one renumbering; 80 tied), without a
-        # search: no homomorphism search decides canonicity.
-        # One more candidate extends a class the way an earlier candidate
-        # that failed N+ did, and takes its record unevaluated. No blocked
+        # them unbuilt; the renumbered colour-rank keys decide the 217
+        # built (124 with all-distinct colours, one renumbering; 93 tied),
+        # 25 of which equal a graph built earlier at their level, without
+        # a search: no homomorphism search decides canonicity.
+        # Two more candidates are copies of one that failed N+ and take
+        # its record unevaluated: one extends its class the same way, and
+        # the class table holds the other's rejected class. No blocked
         # candidate builds an adjacency table.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
@@ -488,15 +487,24 @@ class TestOccurrenceSignature:
                    if owner[candidate] in emitted]
         assert len(results) == 222
         assert Counter(path for path, _ in blocked) == {
-            "extension": 945, "equal": 25, "key": 192}
+            "extension": 945, "key": 217}
         keyed = Counter(renumberings(built[1].signature) > 1
                         for path, built in blocked if path == "key")
-        assert keyed == {False: 112, True: 80}
+        assert keyed == {False: 124, True: 93}
+        seen, equal = set(), 0
+        for candidate, _, path, built in shared:
+            if path == "key":
+                g, found = built
+                seen.add((found.pattern.labels, found.pattern.edges))
+                equal += (g.labels, g.edges) in seen and owner[candidate] in emitted
+                seen.add((g.labels, g.edges))
+        assert equal == 25
         assert verdicts == []
         assert not any("sym_adj" in built[0].__dict__ for path, built in blocked
                        if built is not None)
         rejected = [(owner[c], path) for c, _, path, _ in shared if owner[c] not in emitted]
-        assert [path for _, path in rejected] == ["extension"]
+        assert [path for _, path in rejected] == ["extension", "key"]
+        assert len({subset for subset, _ in rejected}) == 1
         pattern = induced_subgraph(ds.template, rejected[0][0])
         assert is_valid_pattern(pattern, ds, config()) == (False, 0, 0)
 
@@ -786,8 +794,7 @@ def reference_result(i):
 class TestReferenceMine:
     """``mine()`` against the problem's definition (``reference_mine``),
     which has no early end, pruning, known misses, label-pair test, N+
-    give-up, extension key, equal-graph memo, colour-rank key or handed
-    plan."""
+    give-up, extension key, colour-rank key or handed plan."""
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_emits_the_reference_subsets(self, strategy):
@@ -994,18 +1001,22 @@ class TestKnownMisses:
 
     def test_search_counts(self, monkeypatch):
         # Pinned figures. The decomposed count holds the coverage searches
-        # and the blocking searches of ``miner._entry`` (none here: an
-        # equal graph decides both blocked candidates). Widening or
-        # narrowing the miss skip moves it (739 searches without the
-        # edge-label test, 1,219 without it and without known misses),
-        # and so does the N+ give-up (194 searches without it); the
+        # and the blocking searches of ``miner._entry`` (none here: the
+        # colour-rank keys decide every blocked candidate). Widening or
+        # narrowing the miss skip moves it (609 searches without the
+        # edge-label test, 1,057 without it and without known misses),
+        # and so does the N+ give-up (167 searches without it); the
         # monolithic stream count depends on none of them. Both move with
-        # the number of evaluated candidates: 4 rejected candidates equal
-        # a graph evaluated earlier at their level and share its outcome
-        # unevaluated, and 3 extend a class the way an earlier rejected
-        # candidate did and take its record unevaluated (extension keys).
-        # Without the keys, 2 of those copies of rejected patterns were
-        # evaluated again: 183 searches and 1,972 streams.
+        # the number of evaluated candidates, 54 here. The class table
+        # holds every pattern a level evaluated, so 9 rejected candidates
+        # isomorphic to one rejected earlier at their level take its
+        # record unevaluated, and 4 more extend a class the way an earlier
+        # rejected candidate did (extension keys). Only 4 of the 9 equal
+        # the pattern they copy: a table of accepted patterns beside a
+        # memo of equal graphs evaluates the other 5 and one more
+        # extension again, for 60 evaluations, 175 searches and 1,900
+        # streams. Without extension keys the table decides those copies
+        # itself, and the counts hold.
         ds = search_counting_instance()
         finds, streams = [], []
         real_find = patmine.morphism.find_homomorphism
@@ -1016,11 +1027,83 @@ class TestKnownMisses:
         monkeypatch.setattr(patmine.miner, "iter_homomorphisms",
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
-        assert (len(dec), len(finds), len(streams)) == (23, 175, 0)
+        assert (len(dec), len(finds), len(streams)) == (23, 159, 0)
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
-        assert len(streams) == 1900
+        assert len(streams) == 1682
+
+
+class TestClassTable:
+    """Each level's class table holds every pattern it evaluated, bucketed
+    by signature."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_no_level_evaluates_two_isomorphic_candidates(self, monkeypatch, strategy):
+        # A candidate isomorphic to one evaluated earlier at its level,
+        # accepted or rejected, takes that one's record unevaluated.
+        evaluated = []
+        real = patmine.miner.evaluate_strategy
+        monkeypatch.setattr(patmine.miner, "evaluate_strategy",
+                            lambda p, *rest: evaluated.append(p) or real(p, *rest))
+        instances = [(search_counting_instance(), 5),
+                     *((ds, None) for ds in PRUNING_INSTANCES)]
+        pairs = 0
+        for ds, max_size in instances:
+            evaluated.clear()
+            mine(ds, MiningConfig(ds.n_pos_threshold, ds.n_neg_threshold,
+                                  max_pattern_size=max_size, strategy=strategy))
+            for a, b in itertools.combinations(evaluated, 2):
+                if a.n == b.n:
+                    pairs += 1
+                    # Isomorphic graphs share the reference signature.
+                    assert (adjacency_signature(a)[0] != adjacency_signature(b)[0]
+                            or not bijection_isomorphic(a, b)), (a.orig_ids, b.orig_ids)
+        assert pairs > 800, pairs
+
+    @pytest.mark.parametrize("undirected,loops", list(itertools.product((True, False), repeat=2)))
+    def test_a_bucket_keeps_every_class_of_its_signature(self, monkeypatch, undirected, loops):
+        # A connected 7-vertex graph G, a colour-preserving edge swap G' of
+        # it that is not isomorphic to G, and a copy of G' beside them: one
+        # signature, two classes. Mined from size 7, with no level below to
+        # extend, the copy meets a bucket holding G and G' and is blocked
+        # by the second entry.
+        rng = random.Random(89)
+        while True:
+            g = random_graph(rng, 7, undirected=undirected, loops=loops)
+            if (not is_connected(g) or renumberings(patmine.miner._signature(g)[0])
+                    > patmine.miner._MAX_RENUMBERINGS):
+                continue
+            union = switched_union(g)
+            if union is not None and not bijection_isomorphic(
+                    g, induced_subgraph(union, range(7, 14))):
+                break
+        t = build_graph(21, [*union.edges, *((u + 7, v + 7) for u, v in union.edges if u >= 7)],
+                        union.labels + union.labels[7:], undirected)
+        first, second, copy = (tuple(range(a, a + 7)) for a in (0, 7, 14))
+        assert occurrences(monkeypatch, t, 7, 7) == {first: [first], second: [second, copy]}
+
+    @pytest.mark.parametrize("max_size", [None, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_neutralised_keys_give_same_results(self, strategy, max_size):
+        # With no renumbering under the bound, a search decides every
+        # candidate whose bucket is not empty, including searches over
+        # rejected entries, which is the lookup without colour-rank keys.
+        def mined_and_blocking_searches(mp):
+            searches = []
+            real = patmine.miner.find_homomorphism
+            mp.setattr(patmine.miner, "find_homomorphism",
+                       lambda g1, g2: searches.append(1) or real(g1, g2))
+            results, _ = mined_and_searched(mp, PRUNING_INSTANCES, strategy, max_size)
+            return results, len(searches)
+
+        with pytest.MonkeyPatch.context() as mp:
+            keyed, keyed_searches = mined_and_blocking_searches(mp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patmine.miner, "_MAX_RENUMBERINGS", 0)
+            plain, plain_searches = mined_and_blocking_searches(mp)
+        assert keyed == plain
+        assert keyed_searches < plain_searches
 
 
 def mined_and_searched(mp, instances, strategy, max_size):
