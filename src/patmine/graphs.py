@@ -16,9 +16,9 @@ class cached_property:
     before Python 3.12). Mining builds a fresh small graph per candidate;
     with functools, the first accesses were about a third of the cost of
     building one with its adjacency table and degrees. Each cache is built
-    on first use only: a candidate that canonicity skips counts its degrees
-    and builds no adjacency table, and an example graph, which is only ever
-    a search target, builds its target table and nothing else."""
+    on first use only: a candidate that the class table decides builds its
+    degrees and, for its search, its adjacency table, and an example graph,
+    which is only ever a search target, builds its target table only."""
 
     def __init__(self, func):
         self.func = func

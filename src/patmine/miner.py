@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import combinations, permutations, product
-from math import factorial, prod
+from itertools import combinations
 from operator import or_
 from typing import Iterator
 
-from .graphs import Dataset, ExampleClass, LabeledGraph, cached_property, induced_subgraph
+from .graphs import Dataset, ExampleClass, LabeledGraph, induced_subgraph
 # ``coverage`` and ``is_isomorphic`` are not called here. The benchmark's
 # tracer (perfbench/spans.py) and its tests look the names up in this module.
 from .morphism import count_covered, coverage, find_homomorphism, is_isomorphic, iter_homomorphisms
@@ -111,14 +110,13 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     return tuple(out)
 
 
-def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
+def _signature(g: LabeledGraph) -> tuple:
     """One round of colour refinement: each vertex's (label, out-degree,
     in-degree), extended by the sorted colours of its out- and
     in-neighbours, or of its neighbours once if ``g`` is undirected (the two
     lists are equal there). Returns the sorted colours, equal for isomorphic
-    graphs of one mode, and the vertices in that order. Counted over the
-    edge set and the graph's cached degrees, which its searches read too,
-    so a blocked candidate builds no adjacency table."""
+    graphs of one mode. Counted over the edge set and the graph's cached
+    degrees, which its searches read too."""
     n, edges, out = g.n, g.edges, [[] for _ in range(g.n)]
     colour = list(zip(g.labels, *g.degrees))
     if g.undirected_input:
@@ -132,78 +130,23 @@ def _signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
             inn[v].append(colour[u])
         colours = [(c, tuple(sorted(o)), tuple(sorted(i)))
                    for c, o, i in zip(colour, out, inn)]
-    order = sorted(range(n), key=colours.__getitem__)
-    return tuple(map(colours.__getitem__, order)), order
+    return tuple(sorted(colours))
 
 
-# Above this many renumberings, a search decides a tied colouring. On
-# 6-vertex patterns the first key costs 9-12 us, each further one 4-7 us,
-# and one blocking search 43-74 us (2 vCPUs, Python 3.11; BENCH_14.json),
-# so 24 keys cost about one search when the hit comes halfway through.
-_MAX_RENUMBERINGS = 24
-
-
-@dataclass
-class _Entry:
-    """A pattern built at a size level, with its signature and colour order."""
-    pattern: LabeledGraph
-    signature: tuple
-    order: list[int]
-
-    @cached_property
-    def ties(self) -> list[range]:
-        """The rank ranges of the colours that several vertices share."""
-        s = self.signature
-        cuts = [0, *(i for i in range(1, len(s)) if s[i] != s[i - 1]), len(s)]
-        return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
-
-    @cached_property
-    def key(self) -> frozenset[tuple[int, int]]:
-        """The entry's own key, the first of :meth:`keys`."""
-        return next(self.keys())[0]
-
-    def keys(self) -> Iterator[tuple[frozenset[tuple[int, int]], list[int]]]:
-        """The edges with each vertex renumbered by its colour rank, under
-        each order that permutes only vertices of equal colour (there are
-        ``prod(len(tie)!)``), the entry's own order first, whose key is kept
-        as ``key``. Each key comes with the rank of every vertex, one list
-        renumbered in place."""
-        order, ties = self.order, self.ties
-        rank = sorted(range(len(order)), key=order.__getitem__)
-        for ranks in product(*map(permutations, ties)):
-            for tie, permuted in zip(ties, ranks):
-                for r, q in zip(tie, permuted):
-                    rank[order[r]] = q
-            key = frozenset([(rank[u], rank[v]) for u, v in self.pattern.edges])
-            self.__dict__.setdefault("key", key)
-            yield key, rank
-
-
-def _entry(pattern: LabeledGraph, classes: dict) -> tuple[_Entry, tuple]:
-    """The entry deciding ``pattern`` and an isomorphism onto its pattern
-    (the entry's dense id of each vertex). ``classes`` maps each signature
-    to the entries built at the level, accepted or rejected; the first of
-    the bucket that ``pattern`` is isomorphic to decides it, else a new
-    entry, appended, with the identity. An isomorphism maps each vertex to
-    one of the same colour, so a bucket entry's order, carried over, is one
-    of the candidate's renumberings and gives the entry's own key, made at
-    the first lookup of its bucket; the entry's order read at the
-    candidate's ranks maps one onto the other. Up to
-    ``_MAX_RENUMBERINGS`` the keys decide, above it
-    :func:`find_homomorphism` does (between graphs of one signature, so of
-    equal vertex and edge counts, a homomorphism is an isomorphism)."""
-    new = _Entry(pattern, *_signature(pattern))
-    bucket = classes.setdefault(new.signature, [])
-    if bucket and prod(factorial(len(t)) for t in new.ties) <= _MAX_RENUMBERINGS:
-        match = ((e, tuple(map(e.order.__getitem__, rank)))
-                 for key, rank in new.keys() for e in bucket if e.key == key)
-    else:
-        match = ((e, iso) for e in bucket
-                 if (iso := find_homomorphism(pattern, e.pattern)) is not None)
-    found = next(match, None)
-    if found is None:
-        bucket.append(new)
-    return found or (new, tuple(range(pattern.n)))
+def _entry(pattern: LabeledGraph, classes: dict) -> tuple[LabeledGraph, tuple]:
+    """The pattern deciding ``pattern`` and an isomorphism onto it (its
+    dense id of each vertex). ``classes`` maps each signature to the
+    patterns built at the level, accepted or rejected; the first of the
+    bucket that :func:`find_homomorphism` maps ``pattern`` into decides it,
+    and that mapping is the isomorphism (between graphs of one signature,
+    so of equal vertex and edge counts, a homomorphism is one). With no
+    match ``pattern`` is appended and keeps the identity."""
+    bucket = classes.setdefault(_signature(pattern), [])
+    for rep in bucket:
+        if (iso := find_homomorphism(pattern, rep)) is not None:
+            return rep, iso
+    bucket.append(pattern)
+    return pattern, tuple(range(pattern.n))
 
 
 def _extension(template: LabeledGraph, subset: tuple[int, ...], parents: dict,
@@ -351,10 +294,10 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
 
     Within a size level, candidates are scanned in lexicographic subset
     order. Each level keeps every pattern it has evaluated, bucketed by
-    signature; a candidate isomorphic to one in its bucket takes that
-    pattern's outcome, so no two emitted patterns of a level are
+    signature; a candidate that a search maps into one in its bucket takes
+    that pattern's outcome, so no two emitted patterns of a level are
     isomorphic and no class is evaluated twice (see :func:`_entry`).
-    Each subset a level decides keeps the subset whose entry decided it,
+    Each subset a level decides keeps the subset whose pattern decided it,
     its class representative, and an isomorphism onto it. A candidate
     that extends the class of its parent (a one-smaller sub-subset) the
     way an earlier candidate of its level did is isomorphic to that one
@@ -393,7 +336,7 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     maps: dict[tuple[int, ...], tuple] = {}  # subset -> (representative, isomorphism)
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        classes: dict[tuple, list[_Entry]] = {}  # by signature
+        classes: dict[tuple, list[LabeledGraph]] = {}  # by signature
         extended: dict[tuple, tuple] = {}  # by extension key
         below, level, parents, maps = level, {}, maps, {}
         for subset in candidate_subsets(template, size):
@@ -405,10 +348,10 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                 level[subset] = level[first]
                 continue
             pattern = induced_subgraph(template, subset)
-            entry, iso = _entry(pattern, classes)
-            maps[subset] = entry.pattern.orig_ids, iso
-            if entry.pattern is not pattern:
-                level[subset] = level[entry.pattern.orig_ids]
+            rep, iso = _entry(pattern, classes)
+            maps[subset] = rep.orig_ids, iso
+            if rep is not pattern:
+                level[subset] = level[rep.orig_ids]
                 continue
             misses = [reduce(or_, known)]
             ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)

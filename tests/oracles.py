@@ -98,22 +98,21 @@ def bijection_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return False
 
 
-def adjacency_signature(g: LabeledGraph) -> tuple[tuple, list[int]]:
+def adjacency_signature(g: LabeledGraph) -> tuple:
     """Reference for ``miner._signature``: the same round of colour
     refinement, read from out- and in-neighbour lists built here from the
     edge set and the graph's cached degrees, two lists in either mode. Each
     vertex's (label, out-degree, in-degree), extended by the sorted colours
-    of its out- and in-neighbours; returns the sorted colours and the
-    vertices in that order. ``_signature`` keeps one list of an undirected
-    graph, so there the colours differ in shape but not in order or in
-    which graphs share them."""
+    of its out- and in-neighbours; returns the sorted colours.
+    ``_signature`` keeps one list of an undirected graph, so there the
+    colours differ in shape but not in order or in which graphs share
+    them."""
     out = [[v for u, v in g.edges if u == x] for x in range(g.n)]
     inn = [[u for u, v in g.edges if v == x] for x in range(g.n)]
     colour = tuple(zip(g.labels, *g.degrees)).__getitem__
     colours = [(colour(v), tuple(sorted(map(colour, out[v]))),
                 tuple(sorted(map(colour, inn[v])))) for v in range(g.n)]
-    order = sorted(range(g.n), key=colours.__getitem__)
-    return tuple(map(colours.__getitem__, order)), order
+    return tuple(sorted(colours))
 
 
 def random_graph(
