@@ -96,6 +96,8 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     n_pos = args.npos
     positives = sum(1 for _, tag, _ in blocks if tag == "pos")
     if getattr(args, "npos_frac", None) is not None:
+        if n_pos is not None:
+            raise CliError(f"--npos-frac must not be given with --npos, got --npos {n_pos}")
         if not 0 <= args.npos_frac <= 1:  # also rejects nan and inf
             raise CliError(f"--npos-frac must be between 0 and 1, got {args.npos_frac}")
         n_pos = math.ceil(args.npos_frac * positives)

@@ -63,39 +63,14 @@ class MineResult:
     elapsed_ms: float
 
 
-def _connected_subsets_from(
-    g: LabeledGraph, k: int, root: int
-) -> list[tuple[int, ...]]:
-    """Connected k-subsets whose minimum vertex is ``root`` (ESU scheme), in
-    no particular order. The subset and its ``seen`` set grow in place; each
-    stack entry is one step's extension list and the vertices it added to
-    ``seen``, undone on pop. A step so costs its extension list and new
-    neighbours, not the subset size, and k is not bounded by the recursion
-    limit."""
-    adj = g.sym_adj
-    out: list[tuple[int, ...]] = []
-    start_ext = [u for u in adj[root] if u > root]
-    sub, seen = [root], {root, *start_ext}
-    stack = [(start_ext, [])]
-    while stack:
-        ext = stack[-1][0]
-        if len(sub) < k and ext:
-            w = ext.pop()
-            fresh = [u for u in adj[w] if u > root and u not in seen]
-            sub.append(w)
-            seen.update(fresh)
-            stack.append((ext + fresh, fresh))
-            continue
-        if len(sub) == k:
-            out.append(tuple(sorted(sub)))
-        sub.pop()
-        seen.difference_update(stack.pop()[1])
-    return out
-
-
 @lru_cache(maxsize=32)
 def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, ...], ...]:
-    """All connected size-k subsets in lexicographic order.
+    """All connected size-k subsets in lexicographic order, by ESU
+    (Wernicke) from each root: the subsets whose minimum vertex is the
+    root. The subset and its ``seen`` set grow in place; each stack entry
+    is one step's extension list and the vertices it added to ``seen``,
+    undone on pop. A step so costs its extension list and new neighbours,
+    not the subset size, and k is not bounded by the recursion limit.
 
     Cached for repeated ``mine()`` calls on one template, as in the warm-up
     and repeats of ``patmine bench`` and of acceptance criterion 6: without
@@ -103,11 +78,26 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     ratio fell from 7.69-8.70x to 5.42-5.65x in 9 of 10 fresh-process runs
     (2 vCPUs, Python 3.11).
     """
-    out: list[tuple[int, ...]] = []
+    adj, out = template.sym_adj, []
     # A subset's vertices are all >= its root, so later roots reach no k.
     for root in range(template.n - size + 1):
-        out.extend(sorted(_connected_subsets_from(template, size, root)))
-    return tuple(out)
+        start_ext = [u for u in adj[root] if u > root]
+        sub, seen = [root], {root, *start_ext}
+        stack = [(start_ext, [])]
+        while stack:
+            ext = stack[-1][0]
+            if len(sub) < size and ext:
+                w = ext.pop()
+                fresh = [u for u in adj[w] if u > root and u not in seen]
+                sub.append(w)
+                seen.update(fresh)
+                stack.append((ext + fresh, fresh))
+                continue
+            if len(sub) == size:
+                out.append(tuple(sorted(sub)))
+            sub.pop()
+            seen.difference_update(stack.pop()[1])
+    return tuple(sorted(out))
 
 
 def _signature(g: LabeledGraph) -> tuple:
@@ -149,42 +139,31 @@ def _entry(pattern: LabeledGraph, classes: dict) -> tuple[LabeledGraph, tuple]:
     return pattern, tuple(range(pattern.n))
 
 
-def _extension(template: LabeledGraph, subset: tuple[int, ...], parents: dict,
-               extended: dict, maps: dict) -> tuple[int, ...] | None:
-    """The candidate of the level that first extended a class the way
-    ``subset`` does, if that is not ``subset`` itself, else None.
+def _extension(template: LabeledGraph, subset: tuple[int, ...],
+               below: dict) -> tuple[tuple, int, tuple] | None:
+    """The extension key of ``subset``, the position p of the vertex w it
+    adds to its parent T, and T's isomorphism onto its class
+    representative; None if it has no parent.
 
-    ``parents`` and ``maps`` hold, for each subset decided at the level
-    below and at this one, its class representative R and an isomorphism
-    onto R (R's dense id of each vertex). The parent T of ``subset`` is its
-    first one-smaller sub-subset in ``parents``; its extension key is T's
-    R, the label of the vertex w added to T, whether w has a self-loop,
-    and the masks of the R ids of w's out- and in-neighbours in T. Two
-    candidates with one key are both R plus one vertex attached the same
-    way, so they are isomorphic, and ``subset`` maps onto the first one's
-    representative through it. ``extended`` holds each key's first
-    candidate with its w and its parent's isomorphism."""
+    ``below`` holds the records of the level below (see :func:`mine`).
+    T is the first one-smaller sub-subset of ``subset`` with a record
+    other than None; the key is T's representative R, the label of w, whether w has a
+    self-loop, and the masks of the R ids of w's out- and in-neighbours
+    in T. Two candidates with one key are both R plus one vertex attached
+    the same way, so they are isomorphic (McKay's canonical
+    augmentation)."""
     for i, parent in enumerate(combinations(subset, len(subset) - 1)):
-        if parent in parents:
+        if (record := below.get(parent)) is not None:
             break
     else:
         return None
     p = len(subset) - 1 - i  # the i-th sub-subset lacks that position
-    (rep, iso), w, edges = parents[parent], subset[p], template.edges
+    (_, rep, iso), w, edges = record, subset[p], template.edges
     out = inn = 0
     for u, j in zip(parent, iso):
         out |= ((w, u) in edges) << j
         inn |= ((u, w) in edges) << j
-    key = rep, template.labels[w], (w, w) in edges, out, inn
-    first, q, first_iso = extended.setdefault(key, (subset, p, iso))
-    if first is subset:
-        return None
-    first_rep, first_map = maps[first]
-    via = dict(zip(first_iso, first_map[:q] + first_map[q + 1:]))
-    onto = [via[j] for j in iso]
-    onto.insert(p, first_map[q])
-    maps[subset] = first_rep, tuple(onto)
-    return first
+    return (rep, template.labels[w], (w, w) in edges, out, inn), p, iso
 
 
 def candidate_subsets(template: LabeledGraph, size: int) -> Iterator[tuple[int, ...]]:
@@ -293,37 +272,38 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     """Enumerate canonical valid patterns, smallest size first.
 
     Within a size level, candidates are scanned in lexicographic subset
-    order. Each level keeps every pattern it has evaluated, bucketed by
-    signature; a candidate that a search maps into one in its bucket takes
-    that pattern's outcome, so no two emitted patterns of a level are
-    isomorphic and no class is evaluated twice (see :func:`_entry`).
-    Each subset a level decides keeps the subset whose pattern decided it,
-    its class representative, and an isomorphism onto it. A candidate
-    that extends the class of its parent (a one-smaller sub-subset) the
-    way an earlier candidate of its level did is isomorphic to that one
-    and takes its decision unbuilt, the isomorphism composed (see
-    :func:`_extension`); otherwise it is built and :func:`_entry` decides.
-    Validity is the same for isomorphic subsets, so each emitted subset is
-    the lexicographically first of its isomorphism class. Coverage runs
+    order, and a candidate isomorphic to a pattern evaluated earlier at
+    its level takes that pattern's outcome, so no two emitted patterns of
+    a level are isomorphic and no class is evaluated twice. Validity is
+    the same for isomorphic subsets, so each emitted subset is the
+    lexicographically first of its isomorphism class. Coverage runs
     serially in the calling thread. The sequence of emitted patterns is
     deterministic for fixed inputs; only the elapsed_ms fields vary.
 
+    Each level keeps one record per candidate: None if it was pruned or
+    failed N+, else (miss mask, R, isomorphism onto R), where R is the
+    subset whose pattern was evaluated for its class and the isomorphism
+    is R's dense id of each vertex. The miss mask (see
+    :func:`count_covered`) holds the examples R missed plus those it
+    inherited; an N+ failure's count is a bound and its mask is dropped.
+    Only the previous level's records are kept.
+
     Positive coverage is anti-monotone: a pattern maps into every example
-    that one of its supersets maps into. Each level records one entry per
-    candidate: None if it failed N+ or was pruned, else its miss mask (see
-    :func:`count_covered`), the examples it missed plus those it inherited;
-    an N+ failure's count is a bound and its mask is dropped.
-    A candidate with a one-smaller sub-subset recorded None is pruned
-    unevaluated, and a level recording only None ends the run, since every
-    connected (k+1)-subset contains a connected k-subset. A candidate that
-    :func:`_entry` or an extension key decides records the entry of the
-    subset that decided it: a blocked subset is isomorphic to an accepted
-    pattern, hence frequent, and records that pattern's miss mask, and a
-    copy of a rejected pattern is not evaluated again. An evaluated
-    candidate starts from the ``|`` of its one-smaller sub-subsets' miss
-    masks, which the decomposed counts skip without a search. Only the
-    previous level's record is kept. Skipping a known miss never changes a
-    count.
+    that one of its supersets maps into. A candidate with a one-smaller
+    sub-subset recorded None is pruned unevaluated, and a level recording
+    only None ends the run, since every connected (k+1)-subset contains a
+    connected k-subset. Otherwise :func:`_extension` reads its parent's
+    record and makes its extension key. The first candidate with a key is
+    built and decided by :func:`_entry`, whose class table holds every
+    pattern the level evaluated; the key then keeps its record with the
+    isomorphism as a frame: the parent class's R ids, and one slot for
+    the added vertex, mapped to R's ids. A later candidate with the key
+    takes that record unbuilt, its isomorphism read through the frame. A
+    copy of an accepted pattern is frequent and takes its miss mask; a
+    copy of a rejected one is not evaluated again. An evaluated candidate
+    starts from the ``|`` of its one-smaller sub-subsets' miss masks,
+    which the decomposed counts skip without a search; skipping a known
+    miss never changes a count.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -332,31 +312,43 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     top = template.n
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
-    level: dict[tuple[int, ...], int | None] = {}
-    maps: dict[tuple[int, ...], tuple] = {}  # subset -> (representative, isomorphism)
+    level: dict[tuple[int, ...], tuple | None] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
         classes: dict[tuple, list[LabeledGraph]] = {}  # by signature
-        extended: dict[tuple, tuple] = {}  # by extension key
-        below, level, parents, maps = level, {}, maps, {}
+        extended: dict[tuple, tuple | None] = {}  # extension key -> record with frame
+        below, level = level, {}
         for subset in candidate_subsets(template, size):
-            known = [below.get(s, 0) for s in combinations(subset, size - 1)]
+            # A disconnected sub-subset has no record and misses nothing.
+            known = [below.get(s, (0,)) for s in combinations(subset, size - 1)]
             if None in known:
                 level[subset] = None
                 continue
-            if parents and (first := _extension(template, subset, parents, extended, maps)):
-                level[subset] = level[first]
-                continue
+            if (found := _extension(template, subset, below)) is not None:
+                key, p, parent_iso = found
+                if key in extended:
+                    if (record := extended[key]) is not None:
+                        mask, rep_ids, frame = record
+                        onto = [frame[j] for j in parent_iso]
+                        onto.insert(p, frame[-1])
+                        record = mask, rep_ids, tuple(onto)
+                    level[subset] = record
+                    continue
             pattern = induced_subgraph(template, subset)
             rep, iso = _entry(pattern, classes)
-            maps[subset] = rep.orig_ids, iso
-            if rep is not pattern:
-                level[subset] = level[rep.orig_ids]
-                continue
-            misses = [reduce(or_, known)]
-            ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
-            level[subset] = misses[0] if pos >= config.n_pos_threshold else None
-            if not ok:
+            if rep is pattern:
+                misses = [reduce(or_, [r[0] for r in known])]
+                ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
+                record = (misses[0], subset, iso) if pos >= config.n_pos_threshold else None
+            elif (record := level[rep.orig_ids]) is not None:
+                record = record[0], rep.orig_ids, iso
+            level[subset] = record
+            if found is not None:
+                if record is not None:  # ids: each vertex's parent R id, w's slot size - 1
+                    ids = [*parent_iso[:p], size - 1, *parent_iso[p:]]
+                    record = record[0], record[1], [f for _, f in sorted(zip(ids, record[2]))]
+                extended[key] = record
+            if rep is not pattern or not ok:
                 continue
             now = time.perf_counter()
             results.append(

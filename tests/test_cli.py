@@ -34,13 +34,16 @@ def run_process(*argv):
     )
 
 
+NPOS_FRAC_COMMANDS = pytest.mark.parametrize("command", [
+    ["mine"],
+    ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern"],
+    ["encode", "--target", "asp"],
+], ids=["mine", "check", "encode"])
+
+
 class TestNposFrac:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-0.1"])
-    @pytest.mark.parametrize("command", [
-        ["mine"],
-        ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern"],
-        ["encode", "--target", "asp"],
-    ], ids=["mine", "check", "encode"])
+    @NPOS_FRAC_COMMANDS
     def test_out_of_range_exits_one_without_traceback(self, command, value):
         # -0.1 would round up to N+ = 0; 1e308 overflows once there are 2 positives.
         proc = run_process(*command, "--examples", DEMO, f"--npos-frac={value}")
@@ -48,6 +51,13 @@ class TestNposFrac:
         assert proc.stderr == (
             f"error: --npos-frac must be between 0 and 1, got {float(value)}\n"
         )
+
+    @NPOS_FRAC_COMMANDS
+    def test_with_npos_exits_one_without_traceback(self, command):
+        # The two set N+ two ways; neither may silently win.
+        proc = run_process(*command, "--examples", DEMO, "--npos", "2", "--npos-frac", "1.0")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: --npos-frac must not be given with --npos, got --npos 2\n"
 
 
 class TestMine:

@@ -82,18 +82,17 @@ class TestCandidateSubsets:
 
     @pytest.mark.parametrize("trial", range(8))
     def test_root_bound_equals_every_root(self, trial):
-        # Roots above n - k are not enumerated; they yield no k-subset.
+        # Roots above n - k are not enumerated; the brute force over every
+        # k-combination shows they would add no k-subset.
         rng = random.Random(90 + trial)
         t = random_graph(
             rng, rng.randrange(4, 9), edge_prob=(0.3, 0.6)[trial % 2],
             undirected=trial % 2 == 0, loops=trial % 4 >= 2,
         )
         for k in range(1, t.n + 2):
-            every_root = [
-                s for root in range(t.n)
-                for s in sorted(patmine.miner._connected_subsets_from(t, k, root))
-            ]
-            assert list(candidate_subsets(t, k)) == every_root
+            brute = [s for s in itertools.combinations(range(t.n), k)
+                     if is_connected(induced_subgraph(t, s))]
+            assert list(candidate_subsets(t, k)) == brute
 
 
 class TestIsValidPattern:
@@ -116,13 +115,12 @@ def decided_by(monkeypatch, dataset, cfg):
     """Mine ``dataset`` and return the results and, for each candidate
     that took another subset's decision, in scan order: (candidate,
     that subset, path, built), subsets as tuples. The path is the step
-    that decides it: "extension" when ``miner._extension`` finds an
-    earlier candidate of the level that extended a class the same way
-    (the candidate is yielded, not pruned and never built, and built is
-    None), else "search" when ``miner._entry`` maps it into another
-    pattern of its bucket, and built is (the candidate's graph, that
-    pattern)."""
-    shared = []
+    that decides it: "extension" when ``miner._extension`` gives it the
+    key an earlier candidate got, whose decision it takes (the candidate
+    is yielded, not pruned and never built, and built is None), else
+    "search" when ``miner._entry`` maps it into another pattern of its
+    bucket, and built is (the candidate's graph, that pattern)."""
+    shared, firsts = [], {}
     real_entry, real_extension = patmine.miner._entry, patmine.miner._extension
 
     def entry(pattern, classes):
@@ -131,11 +129,11 @@ def decided_by(monkeypatch, dataset, cfg):
             shared.append((pattern.orig_ids, found.orig_ids, "search", (pattern, found)))
         return found, iso
 
-    def extension(template, subset, *level):
-        first = real_extension(template, subset, *level)
-        if first is not None:
+    def extension(template, subset, below):
+        found = real_extension(template, subset, below)
+        if found is not None and (first := firsts.setdefault(found[0], subset)) != subset:
             shared.append((subset, first, "extension", None))
-        return first
+        return found
 
     monkeypatch.setattr(patmine.miner, "_entry", entry)
     monkeypatch.setattr(patmine.miner, "_extension", extension)
@@ -1084,44 +1082,49 @@ class TestExtensionKeys:
     def test_decisions_and_maps_are_isomorphisms(self, monkeypatch):
         # Each subset an extension key decides is never built and is
         # isomorphic to the first subset with its key, whose record it
-        # takes, that of a valid or of a rejected pattern; every subset a
-        # level decides maps onto its representative by a bijection that
-        # keeps labels, edges and self-loops. Mined from size 5, the two
-        # cycles' second map comes from a search.
+        # takes, that of a valid or of a rejected pattern; every record a
+        # level keeps maps its subset onto its representative by a
+        # bijection that keeps labels, edges and self-loops. The records
+        # are read where the next level reads them, in the level below
+        # that ``miner._extension`` receives, and every size below the
+        # largest one emitted is read. An N+ failure records None, so it
+        # has no map. Mined from size 1, the two cycles' second copy takes
+        # the first's decision by its extension key.
         seen = Counter()
-        cycles = (Dataset(two_cycles(), (), 0, 0), 5)
+        cycles = (Dataset(two_cycles(), (), 0, 0), 1)
         for ds, min_size in [*extension_instances(), cycles]:
-            t, levels, decided, built = ds.template, [], [], set()
+            t, levels, built = ds.template, [], set()
             real_extension, real_induced = patmine.miner._extension, induced_subgraph
 
-            def extension(template, subset, parents, extended, maps):
-                levels.extend(d for d in (parents, maps) if all(d is not x for x in levels))
-                first = real_extension(template, subset, parents, extended, maps)
-                if first is not None:
-                    decided.append((subset, first))
-                return first
+            def extension(template, subset, below):
+                if all(below is not x for x in levels):
+                    levels.append(below)
+                return real_extension(template, subset, below)
 
             monkeypatch.setattr(patmine.miner, "_extension", extension)
             monkeypatch.setattr(patmine.miner, "induced_subgraph",
                                 lambda g, s: built.add(s) or real_induced(g, s))
-            mine(ds, config(ds.n_pos_threshold, ds.n_neg_threshold,
-                            min_pattern_size=min_size))
-            monkeypatch.undo()
-            for subset, first in decided:
+            results, shared = decided_by(monkeypatch, ds, config(
+                ds.n_pos_threshold, ds.n_neg_threshold, min_pattern_size=min_size))
+            for subset, first, path, _ in shared:
+                if path != "extension":
+                    continue
                 assert subset not in built and first in built
                 g = induced_subgraph(t, subset)
                 assert bijection_isomorphic(induced_subgraph(t, first), g), subset
                 seen[is_valid_pattern(g, ds, config(ds.n_pos_threshold,
                                                     ds.n_neg_threshold))[0]] += 1
-            for maps in levels:
-                for subset, (rep, iso) in maps.items():
-                    g, r = induced_subgraph(t, subset), induced_subgraph(t, rep)
-                    assert sorted(iso) == list(range(r.n)) and g.n == r.n
-                    assert [r.labels[iso[v]] for v in range(g.n)] == list(g.labels)
-                    assert {(iso[u], iso[v]) for u, v in g.edges} == r.edges
-                    seen["map"] += 1
-                    seen["self-loop"] += any(u == v for u, v in g.edges)
-                    seen["directed"] += not t.undirected_input and subset != rep
+            records = [(s, r) for below in levels for s, r in below.items() if r is not None]
+            top = max((len(r.subset) for r in results), default=min_size)
+            assert {len(s) for s, _ in records} >= set(range(min_size, top))
+            for subset, (_, rep, iso) in records:
+                g, r = induced_subgraph(t, subset), induced_subgraph(t, rep)
+                assert sorted(iso) == list(range(r.n)) and g.n == r.n
+                assert [r.labels[iso[v]] for v in range(g.n)] == list(g.labels)
+                assert {(iso[u], iso[v]) for u, v in g.edges} == r.edges
+                seen["map"] += 1
+                seen["self-loop"] += any(u == v for u, v in g.edges)
+                seen["directed"] += not t.undirected_input and subset != rep
         assert min(seen.values()) > 10, seen
 
     @pytest.mark.parametrize("max_size", [None, 4])
@@ -1171,19 +1174,24 @@ def renumbered_template(dataset, rng):
 
 
 class TestTemplateRenumbering:
-    @pytest.mark.parametrize("workload", list(WORKLOAD_INSTANCES))
-    def test_emits_the_same_classes(self, workload):
+    @pytest.mark.parametrize("workload,strategy", [
+        *(pytest.param(w, Strategy.DECOMPOSED, id=w) for w in WORKLOAD_INSTANCES),
+        pytest.param("canon-dense", Strategy.MONOLITHIC, id="canon-dense-monolithic"),
+    ])
+    def test_emits_the_same_classes(self, workload, strategy):
         # Metamorphic relation: permuting the template's vertex ids changes
         # the scan order, each extension key's parent and which copy of a
         # class is built first, so the isomorphisms the levels keep, but
         # not the set of emitted classes, each with its (pos, neg). Three
-        # seeded permutations of each workload's instance, decomposed;
-        # each renumbered run's classes are matched one to one with the
-        # base run's by a bijection check.
+        # seeded permutations of each workload's instance, decomposed, and
+        # of canon-dense under the monolithic strategy too, which shares
+        # the levels' records; each renumbered run's classes are matched
+        # one to one with those of the base run of its strategy by a
+        # bijection check.
         params, n_pos, n_neg, max_size = WORKLOAD_INSTANCES[workload]
         base = gen_synthetic(params)
         ds = Dataset(base.template, base.examples, n_pos, n_neg)
-        cfg = config(n_pos, n_neg, max_pattern_size=max_size)
+        cfg = config(n_pos, n_neg, max_pattern_size=max_size, strategy=strategy)
 
         def classes(results):
             out: dict[tuple, list[LabeledGraph]] = {}
