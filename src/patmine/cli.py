@@ -92,7 +92,12 @@ def _write(path: str | None, text: str) -> None:
 def _load_dataset(args: argparse.Namespace) -> Dataset:
     blocks = parse_graphs(_read(args.examples))
     if args.template:
-        blocks = parse_graphs(_read(args.template)) + blocks
+        template = parse_graphs(_read(args.template))
+        for block_id, tag, _ in template:
+            if tag != "template":
+                raise CliError(f"{args.template}: block {block_id} is tagged {tag!r}, "
+                               "but a --template file holds only template blocks")
+        blocks = template + blocks
     n_pos = args.npos
     positives = sum(1 for _, tag, _ in blocks if tag == "pos")
     if getattr(args, "npos_frac", None) is not None:

@@ -100,38 +100,15 @@ def _connected_ksubsets(template: LabeledGraph, size: int) -> tuple[tuple[int, .
     return tuple(sorted(out))
 
 
-def _signature(g: LabeledGraph) -> tuple:
-    """One round of colour refinement: each vertex's (label, out-degree,
-    in-degree), extended by the sorted colours of its out- and
-    in-neighbours, or of its neighbours once if ``g`` is undirected (the two
-    lists are equal there). Returns the sorted colours, equal for isomorphic
-    graphs of one mode. Counted over the edge set and the graph's cached
-    degrees, which its searches read too."""
-    n, edges, out = g.n, g.edges, [[] for _ in range(g.n)]
-    colour = list(zip(g.labels, *g.degrees))
-    if g.undirected_input:
-        for u, v in edges:
-            out[u].append(colour[v])
-        colours = [(c, tuple(sorted(o))) for c, o in zip(colour, out)]
-    else:
-        inn = [[] for _ in range(n)]
-        for u, v in edges:
-            out[u].append(colour[v])
-            inn[v].append(colour[u])
-        colours = [(c, tuple(sorted(o)), tuple(sorted(i)))
-                   for c, o, i in zip(colour, out, inn)]
-    return tuple(sorted(colours))
-
-
-def _entry(pattern: LabeledGraph, classes: dict) -> tuple[LabeledGraph, tuple]:
+def _entry(pattern: LabeledGraph, bucket: list) -> tuple[LabeledGraph, tuple]:
     """The pattern deciding ``pattern`` and an isomorphism onto it (its
-    dense id of each vertex). ``classes`` maps each signature to the
-    patterns built at the level, accepted or rejected; the first of the
-    bucket that :func:`find_homomorphism` maps ``pattern`` into decides it,
-    and that mapping is the isomorphism (between graphs of one signature,
-    so of equal vertex and edge counts, a homomorphism is one). With no
-    match ``pattern`` is appended and keeps the identity."""
-    bucket = classes.setdefault(_signature(pattern), [])
+    dense id of each vertex). ``bucket`` holds the patterns built at the
+    level, accepted or rejected, under ``pattern``'s bucket key (see
+    :func:`mine`); the first that :func:`find_homomorphism` maps
+    ``pattern`` into decides it, and that mapping is the isomorphism
+    (between graphs of one degree profile, so of equal vertex and edge
+    counts, a homomorphism is one). With no match ``pattern`` is appended
+    and keeps the identity."""
     for rep in bucket:
         if (iso := find_homomorphism(pattern, rep)) is not None:
             return rep, iso
@@ -294,16 +271,28 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     only None ends the run, since every connected (k+1)-subset contains a
     connected k-subset. Otherwise :func:`_extension` reads its parent's
     record and makes its extension key. The first candidate with a key is
-    built and decided by :func:`_entry`, whose class table holds every
-    pattern the level evaluated; the key then keeps its record with the
-    isomorphism as a frame: the parent class's R ids, and one slot for
-    the added vertex, mapped to R's ids. A later candidate with the key
-    takes that record unbuilt, its isomorphism read through the frame. A
-    copy of an accepted pattern is frequent and takes its miss mask; a
-    copy of a rejected one is not evaluated again. An evaluated candidate
-    starts from the ``|`` of its one-smaller sub-subsets' miss masks,
-    which the decomposed counts skip without a search; skipping a known
-    miss never changes a count.
+    built and decided by :func:`_entry` in the level's class table, which
+    holds every pattern the level evaluated; the key then keeps its
+    record with the isomorphism as a frame: the parent class's R ids, and
+    one slot for the added vertex, mapped to R's ids. A later candidate
+    with the key takes that record unbuilt, its isomorphism read through
+    the frame. A copy of an accepted pattern is frequent and takes its
+    miss mask; a copy of a rejected one is not evaluated again. An
+    evaluated candidate starts from the ``|`` of its one-smaller
+    sub-subsets' miss masks, which the decomposed counts skip without a
+    search; skipping a known miss never changes a count.
+
+    The class table buckets a built candidate by its profile, the sorted
+    (label, out-degree, in-degree) of its vertices, and its deck, the
+    sorted R of its one-smaller sub-subsets, read from their records (a
+    disconnected one has none and reads as the empty subset). Isomorphic
+    candidates share both, by induction over the levels: each level's
+    table is complete, so every class of the level below has one R, and
+    an isomorphism maps each sub-subset of one candidate onto an
+    isomorphic sub-subset of the other. A run's first level keeps no level
+    below, so there the profile alone decides the bucket. The profile
+    also keeps vertex and edge counts equal within a bucket, which
+    :func:`_entry` needs.
     """
     results: list[MineResult] = []
     if config.max_patterns is not None and config.max_patterns <= 0:
@@ -315,12 +304,12 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     level: dict[tuple[int, ...], tuple | None] = {}
     t_prev = time.perf_counter()
     for size in range(config.min_pattern_size, top + 1):
-        classes: dict[tuple, list[LabeledGraph]] = {}  # by signature
+        classes: dict[tuple, list[LabeledGraph]] = {}  # by (profile, deck)
         extended: dict[tuple, tuple | None] = {}  # extension key -> record with frame
         below, level = level, {}
         for subset in candidate_subsets(template, size):
-            # A disconnected sub-subset has no record and misses nothing.
-            known = [below.get(s, (0,)) for s in combinations(subset, size - 1)]
+            # A disconnected sub-subset has no record, misses nothing and has no R.
+            known = [below.get(s, (0, ())) for s in combinations(subset, size - 1)]
             if None in known:
                 level[subset] = None
                 continue
@@ -335,7 +324,9 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
                     level[subset] = record
                     continue
             pattern = induced_subgraph(template, subset)
-            rep, iso = _entry(pattern, classes)
+            profile = tuple(sorted(zip(pattern.labels, *pattern.degrees)))
+            deck = tuple(sorted([r[1] for r in known]))
+            rep, iso = _entry(pattern, classes.setdefault((profile, deck), []))
             if rep is pattern:
                 misses = [reduce(or_, [r[0] for r in known])]
                 ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)

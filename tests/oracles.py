@@ -99,14 +99,13 @@ def bijection_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
 
 def adjacency_signature(g: LabeledGraph) -> tuple:
-    """Reference for ``miner._signature``: the same round of colour
-    refinement, read from out- and in-neighbour lists built here from the
-    edge set and the graph's cached degrees, two lists in either mode. Each
-    vertex's (label, out-degree, in-degree), extended by the sorted colours
-    of its out- and in-neighbours; returns the sorted colours.
-    ``_signature`` keeps one list of an undirected graph, so there the
-    colours differ in shape but not in order or in which graphs share
-    them."""
+    """A test-side isomorphism invariant: one round of colour refinement,
+    read from out- and in-neighbour lists built here from the edge set and
+    the graph's cached degrees. Each vertex's (label, out-degree,
+    in-degree), extended by the sorted colours of its out- and
+    in-neighbours; returns the sorted colours, equal for isomorphic graphs.
+    ``TestClassTable`` uses it to skip pairs that cannot be isomorphic, and
+    ``TestTemplateRenumbering`` to group emitted classes."""
     out = [[v for u, v in g.edges if u == x] for x in range(g.n)]
     inn = [[u for u, v in g.edges if v == x] for x in range(g.n)]
     colour = tuple(zip(g.labels, *g.degrees)).__getitem__

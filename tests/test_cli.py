@@ -602,6 +602,24 @@ class TestTopLevel:
                                "template is in mode undirected\n")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", [
+        ["mine"],
+        ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern"],
+        ["encode", "--target", "asp"],
+    ], ids=["mine", "check", "encode"])
+    def test_example_block_in_the_template_file_exits_one(self, capsys, tmp_path, command):
+        # The template file's pos block would otherwise be mined as a
+        # positive example beside the examples file's one negative.
+        template, examples = tmp_path / "t.graphs", tmp_path / "e.graphs"
+        template.write_text("mode undirected\nt # 0 template\nv 0 a\nv 1 b\ne 0 1\n"
+                            "t # 1 pos\nv 0 a\nv 1 b\ne 0 1\n")
+        examples.write_text("mode undirected\nt # 2 neg\nv 0 a\n")
+        code, out, err = run(capsys, *command, "--template", str(template),
+                             "--examples", str(examples), "--npos", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {template}: block 1 is tagged 'pos', but a "
+                       "--template file holds only template blocks\n")
+
     def test_any_value_error_exits_one(self, capsys, monkeypatch):
         def reject(dataset, config):
             raise ValueError("boom")

@@ -123,8 +123,8 @@ def decided_by(monkeypatch, dataset, cfg):
     shared, firsts = [], {}
     real_entry, real_extension = patmine.miner._entry, patmine.miner._extension
 
-    def entry(pattern, classes):
-        found, iso = real_entry(pattern, classes)
+    def entry(pattern, bucket):
+        found, iso = real_entry(pattern, bucket)
         if found is not pattern:
             shared.append((pattern.orig_ids, found.orig_ids, "search", (pattern, found)))
         return found, iso
@@ -240,7 +240,7 @@ class TestTemplateOccurrences:
         assert set(paths) == {"search", "extension"}, paths
 
 
-def signature_templates():
+def seeded_templates():
     """Seeded random templates: undirected and directed, with and without
     self-loops, two labels, sparse to dense."""
     rng = random.Random(71)
@@ -253,15 +253,16 @@ def signature_templates():
     ]
 
 
-SIGNATURE_TEMPLATES = signature_templates()
+SEEDED_TEMPLATES = seeded_templates()
 
 
 def switched_union(g):
     """``g`` beside a copy of itself (ids shifted by ``g.n``) in which the
     edges a->x and c->y become a->y and c->x, where a, c and x, y have
-    equal (label, out-degree, in-degree). Every vertex keeps its one-round
-    colour, so both copies get one signature. The first such swap that
-    leaves the copy connected, or None when there is none."""
+    equal (label, out-degree, in-degree). Every vertex keeps that triple,
+    so both copies have one degree profile, and its one-round colour, so
+    they share :func:`oracles.adjacency_signature` too. The first such
+    swap that leaves the copy connected, or None when there is none."""
     colour = list(zip(g.labels, *g.degrees))
     for (a, x), (c, y) in itertools.combinations(sorted(g.edges), 2):
         if len({a, x, c, y}) < 4 or colour[a] != colour[c] or colour[x] != colour[y]:
@@ -281,44 +282,57 @@ def switched_union(g):
 
 
 class TestOccurrenceSignature:
-    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
-    def test_invariant_under_vertex_permutation(self, trial):
-        t = SIGNATURE_TEMPLATES[trial]
-        rng = random.Random(trial)
-        for k in range(1, 6):
-            for subset in patmine.miner._connected_ksubsets(t, k):
-                sub = induced_subgraph(t, subset)
-                perm = list(range(k))
-                rng.shuffle(perm)
-                labels = [""] * k
-                for v in range(k):
-                    labels[perm[v]] = sub.labels[v]
-                shuffled = build_graph(
-                    k, [(perm[u], perm[v]) for u, v in sub.edges], labels,
-                    t.undirected_input,
-                )
-                sig = patmine.miner._signature
-                assert sig(shuffled) == sig(sub)
+    """The class table's buckets: which built candidates share one, and
+    how a bucket decides a candidate."""
 
-    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def bucket_pairs(trial):
+        """Mine seeded template ``trial`` with vacuous thresholds from size
+        1, where every level above the first keys on its deck too, and from
+        size 3, whose first level keys on the degree profile alone. Returns
+        the isomorphic pairs of built patterns, as (pair of orig_ids, both
+        looked up in one bucket), counted by (min size, above the first
+        level)."""
+        t = SEEDED_TEMPLATES[trial]
+        ds = Dataset(template=t, examples=(), n_pos_threshold=0, n_neg_threshold=0)
+        real = patmine.miner._entry
+        pairs = Counter()
+        for min_size in (1, 3):
+            looked_up = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(patmine.miner, "_entry", lambda g, bucket: (
+                    looked_up.append((g, bucket)) or real(g, bucket)))
+                mine(ds, config(n_pos=0, min_pattern_size=min_size))
+            for (a, in_a), (b, in_b) in itertools.combinations(looked_up, 2):
+                if a.n == b.n and bijection_isomorphic(a, b):
+                    key = (min_size, a.n > min_size)
+                    pairs[key, (a.orig_ids, b.orig_ids), in_a is in_b] += 1
+        return pairs
+
+    @pytest.mark.parametrize("trial", range(len(SEEDED_TEMPLATES)))
     def test_isomorphic_subsets_share_a_group(self, trial):
-        t = SIGNATURE_TEMPLATES[trial]
-        pairs = 0
-        for k in range(1, 5):
-            level = [
-                induced_subgraph(t, s) for s in patmine.miner._connected_ksubsets(t, k)
-            ]
-            for a, b in itertools.combinations(level, 2):
-                if bijection_isomorphic(a, b):
-                    assert patmine.miner._signature(a) == patmine.miner._signature(b)
-                    pairs += 1
-        assert pairs > 0
+        # The class table's bucket key is sound: every two patterns a level
+        # builds that are isomorphic were looked up in one bucket.
+        pairs = self.bucket_pairs(trial)
+        assert [ids for (_, ids, same) in pairs if not same] == []
+        assert pairs
 
-    @pytest.mark.parametrize("trial", range(len(SIGNATURE_TEMPLATES)))
+    def test_isomorphic_patterns_share_a_bucket(self):
+        # Over the seeded templates, isomorphic pairs are met on first
+        # levels and on deck-keyed levels above them, from both min sizes.
+        # Three templates build no such pair above their first level.
+        counts = Counter()
+        for trial in range(len(SEEDED_TEMPLATES)):
+            for (key, _, _), n in self.bucket_pairs(trial).items():
+                counts[key] += n
+        assert min(counts.values()) >= 8 and len(counts) == 4, counts
+
+    @pytest.mark.parametrize("trial", range(len(SEEDED_TEMPLATES)))
     def test_groups_partition_the_level(self, monkeypatch, trial):
         # An emitted subset and the candidates it blocks form one group;
         # with every candidate valid, a level's groups partition it.
-        t = SIGNATURE_TEMPLATES[trial]
+        t = SEEDED_TEMPLATES[trial]
         occ = occurrences(monkeypatch, t)
         for k in range(1, t.n + 1):
             groups = [group for s, group in occ.items() if len(s) == k]
@@ -326,77 +340,31 @@ class TestOccurrenceSignature:
             assert sorted(members) == list(patmine.miner._connected_ksubsets(t, k))
             for group in groups:
                 assert group == sorted(group)
-                sigs = {patmine.miner._signature(induced_subgraph(t, s)) for s in group}
-                assert len(sigs) == 1
-
-    def test_signature_equals_the_adjacency_reference(self):
-        # The reference reads out- and in-neighbour lists off the edge set;
-        # the signature reads the same two of a directed graph and one
-        # neighbour list of an undirected one, where both are equal. The
-        # same colours when directed and the reference's colours less their
-        # equal in-part when undirected, on seeded graphs
-        # with self-loops and isolated vertices, and on n = 0 and 1. Over
-        # each level of the seeded templates, both give the same partition
-        # into equal signatures, which are the blocking buckets.
-        rng = random.Random(97)
-        graphs = [build_graph(n, edges, "b"[:n], undirected)
-                  for undirected in (False, True)
-                  for n, edges in ((0, []), (1, []), (1, [(0, 0)]))]
-        graphs += [
-            random_graph(rng, rng.randrange(2, 9), edge_prob=(0.1, 0.3, 0.6)[trial % 3],
-                         undirected=trial % 2 == 0, loops=trial % 4 >= 2)
-            for trial in range(48)
-        ]
-        for g in graphs:
-            colours, reference = patmine.miner._signature(g), adjacency_signature(g)
-            if g.undirected_input:
-                assert all(out == inn for _, out, inn in reference)
-                assert colours == tuple((c, out) for c, out, _ in reference)
-            else:
-                assert colours == reference
-        assert sum(any((v, v) in g.edges for v in range(g.n)) for g in graphs) > 5
-        assert sum(not all(g.sym_adj) for g in graphs) > 5
-
-        def blocks(level, signature):
-            groups = {}
-            for i, g in enumerate(level):
-                groups.setdefault(signature(g), []).append(i)
-            return sorted(groups.values())
-
-        shared = 0
-        for t in SIGNATURE_TEMPLATES:
-            for k in range(1, 5):
-                level = [induced_subgraph(t, s)
-                         for s in patmine.miner._connected_ksubsets(t, k)]
-                partition = blocks(level, patmine.miner._signature)
-                assert partition == blocks(level, adjacency_signature)
-                shared += sum(len(b) > 1 for b in partition)
-        assert shared > 50
 
     def test_search_decides_a_bucket(self, monkeypatch):
         # A one-label directed 5-cycle, a renumbered copy of it and a
-        # 2-cycle beside a 3-cycle share one signature. The copy maps into
-        # the cycle, and that mapping is the isomorphism returned; the
-        # split graph maps into nothing in the bucket, so it is appended
-        # and keeps the identity.
+        # 2-cycle beside a 3-cycle have one degree profile, so they may
+        # share a bucket. The copy maps into the cycle, and that mapping is
+        # the isomorphism returned; the split graph maps into nothing in the
+        # bucket, so it is appended and keeps the identity.
         cycle = build_graph(5, [(v, (v + 1) % 5) for v in range(5)], "a" * 5, False)
         copy = build_graph(5, [(v, (v + 2) % 5) for v in range(5)], "a" * 5, False)
         split = build_graph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)], "a" * 5, False)
-        classes = {}
-        assert patmine.miner._entry(cycle, classes) == (cycle, tuple(range(5)))
+        bucket = []
+        assert patmine.miner._entry(cycle, bucket) == (cycle, tuple(range(5)))
         verdicts = []
         real = patmine.miner.find_homomorphism
         monkeypatch.setattr(patmine.miner, "find_homomorphism",
                             lambda g1, g2: verdicts.append(real(g1, g2)) or verdicts[-1])
         for g, same in ((copy, True), (split, False)):
-            assert patmine.miner._signature(g) == patmine.miner._signature(cycle)
+            assert sorted(zip(g.labels, *g.degrees)) == sorted(zip(cycle.labels, *cycle.degrees))
             assert bijection_isomorphic(cycle, g) == same
-            rep, iso = patmine.miner._entry(g, classes)
+            rep, iso = patmine.miner._entry(g, bucket)
             assert (rep is cycle) == same and (rep is g) == (not same)
             assert iso == (verdicts[-1] if same else tuple(range(5)))
         assert [mapping is not None for mapping in verdicts] == [True, False]
         assert {(verdicts[0][u], verdicts[0][v]) for u, v in copy.edges} == cycle.edges
-        assert list(classes.values()) == [[cycle, split]]
+        assert bucket == [cycle, split]
 
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
@@ -755,7 +723,7 @@ class TestReferenceMine:
 
 
 def unpruned_mine(dataset, config):
-    """Reference loop without superset pruning, the early stop, signature
+    """Reference loop without superset pruning, the early stop, class-table
     buckets or known misses: every connected candidate of every size level
     is evaluated unless the permutation oracle finds it isomorphic to a
     pattern accepted earlier at its level. Returns (subset,
@@ -968,7 +936,7 @@ class TestKnownMisses:
 
 class TestClassTable:
     """Each level's class table holds every pattern it evaluated, bucketed
-    by signature."""
+    by degree profile and deck (see ``mine``)."""
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_no_level_evaluates_two_isomorphic_candidates(self, monkeypatch, strategy):
@@ -994,12 +962,13 @@ class TestClassTable:
         assert pairs > 800, pairs
 
     @pytest.mark.parametrize("undirected,loops", list(itertools.product((True, False), repeat=2)))
-    def test_a_bucket_keeps_every_class_of_its_signature(self, monkeypatch, undirected, loops):
-        # A connected 7-vertex graph G, a colour-preserving edge swap G' of
+    def test_a_bucket_keeps_every_class_of_its_bucket_key(self, monkeypatch, undirected, loops):
+        # A connected 7-vertex graph G, a degree-preserving edge swap G' of
         # it that is not isomorphic to G, and a copy of G' beside them: one
-        # signature, two classes. Mined from size 7, with no level below to
-        # extend, the copy meets a bucket holding G and G': the search into
-        # G misses and the one into G' blocks it.
+        # degree profile, two classes. Mined from size 7, with no level
+        # below to extend or to make a deck of, the copy meets a bucket
+        # holding G and G': the search into G misses and the one into G'
+        # blocks it.
         rng = random.Random(89)
         while True:
             g = random_graph(rng, 7, undirected=undirected, loops=loops)
@@ -1013,6 +982,30 @@ class TestClassTable:
                         union.labels + union.labels[7:], undirected)
         first, second, copy = (tuple(range(a, a + 7)) for a in (0, 7, 14))
         assert occurrences(monkeypatch, t, 7, 7) == {first: [first], second: [second, copy]}
+
+    @pytest.mark.parametrize("strategy,min_sizes", [
+        pytest.param(Strategy.DECOMPOSED, (4, 6), id="decomposed"),
+        pytest.param(Strategy.MONOLITHIC, (6,), id="monolithic"),
+    ])
+    def test_a_first_level_above_two_mines_the_same_patterns(self, strategy, min_sizes):
+        # A run's first level has no level below, so its buckets key on the
+        # degree profile alone; on canon-dense that level holds hundreds of
+        # candidates. Mined from a larger min size, the canon-dense
+        # instance emits what the run from size 2 emits at those sizes.
+        params, n_pos, n_neg, max_size = WORKLOAD_INSTANCES["canon-dense"]
+        base = gen_synthetic(params)
+        ds = Dataset(base.template, base.examples, n_pos, n_neg)
+
+        def mined(min_size):
+            return [(r.subset, r.positive_covered, r.negative_covered)
+                    for r in mine(ds, config(n_pos, n_neg, min_pattern_size=min_size,
+                                             max_pattern_size=max_size, strategy=strategy))]
+
+        full = mined(2)
+        for min_size in min_sizes:
+            expected = [r for r in full if len(r[0]) >= min_size]
+            assert len(expected) > 100
+            assert mined(min_size) == expected
 
 
 def mined_and_searched(mp, instances, strategy, max_size):
