@@ -97,6 +97,14 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
             if tag != "template":
                 raise CliError(f"{args.template}: block {block_id} is tagged {tag!r}, "
                                "but a --template file holds only template blocks")
+        template_ids = {block_id for block_id, _, _ in template}
+        for block_id, tag, _ in blocks:
+            if tag == "template":
+                raise CliError(f"{args.examples}: block {block_id} is a template block, "
+                               f"but the template is read from {args.template}")
+            if block_id in template_ids:
+                raise CliError(f"block id {block_id} is used in both {args.template} "
+                               f"and {args.examples}")
         blocks = template + blocks
     n_pos = args.npos
     positives = sum(1 for _, tag, _ in blocks if tag == "pos")

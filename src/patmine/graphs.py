@@ -16,9 +16,9 @@ class cached_property:
     before Python 3.12). Mining builds a fresh small graph per candidate;
     with functools, the first accesses were about a third of the cost of
     building one with its adjacency table and degrees. Each cache is built
-    on first use only: a candidate that the class table decides builds its
-    degrees and, for its search, its adjacency table, and an example graph,
-    which is only ever a search target, builds its target table only."""
+    on first use only (:func:`induced_subgraph` writes its adjacency table),
+    and an example graph, which is only ever a search target, builds its
+    target table only."""
 
     def __init__(self, func):
         self.func = func
@@ -108,7 +108,9 @@ class LabeledGraph:
         reads: the successors and predecessors of each vertex (one list if
         undirected), each label's vertices, "out-degree >= d" and "in-degree
         >= d" (bit counts of those masks) for d up to the largest degree,
-        and the vertices with a self-loop. Read-only once built."""
+        the vertices with a self-loop, and by label b those with a successor,
+        and those with a predecessor, labelled b (one dict if undirected).
+        Read-only once built."""
         n, edges, bits = self.n, self.edges, [1 << v for v in range(self.n)]
         succ = [0] * n
         for u, v in edges:
@@ -117,11 +119,17 @@ class LabeledGraph:
         for u, v in edges if pred is not succ else ():
             pred[v] |= bits[u]
         label_masks: dict[Label, int] = {}
+        to_label: dict[Label, int] = {}
+        from_label = to_label if pred is succ else {}
         for v, label in enumerate(self.labels):
             label_masks[label] = label_masks.get(label, 0) | bits[v]
+            to_label[label] = to_label.get(label, 0) | pred[v]
+        for v, label in enumerate(self.labels) if from_label is not to_label else ():
+            from_label[label] = from_label.get(label, 0) | succ[v]
         out_ge = _at_least(succ)
         in_ge = out_ge if pred is succ else _at_least(pred)
-        return succ, pred, label_masks, out_ge, in_ge, sum(map(int.__and__, succ, bits))
+        loops = sum(map(int.__and__, succ, bits))
+        return succ, pred, label_masks, out_ge, in_ge, loops, to_label, from_label
 
     @cached_property
     def label_pairs(self) -> frozenset[tuple[Label, Label]]:
@@ -260,10 +268,11 @@ def is_connected(g: LabeledGraph) -> bool:
 def induced_subgraph(g: LabeledGraph, subset: Iterable[VertexId]) -> LabeledGraph:
     """Subgraph induced by ``subset``, densely re-indexed in ascending id order.
 
-    Keeps each ``sym_adj`` neighbour inside the subset: all of them in an
-    undirected ``g``, only successors in a directed one. ``orig_ids`` maps
-    each new dense id back to its vertex id in ``g``. A vertex outside ``g``
-    raises :class:`VertexNotInGraph`, naming the first in sorted order.
+    Keeps each ``g.sym_adj`` row inside the subset, renumbered (so sorted),
+    as its cached ``sym_adj``, and each neighbour in them as an edge if ``g``
+    is undirected, each successor if not. ``orig_ids`` maps each new dense
+    id back to its id in ``g``. A vertex outside ``g`` raises
+    :class:`VertexNotInGraph`, naming the first in sorted order.
     """
     order = sorted(set(subset))
     if order and not (0 <= order[0] and order[-1] < g.n):
@@ -271,10 +280,13 @@ def induced_subgraph(g: LabeledGraph, subset: Iterable[VertexId]) -> LabeledGrap
         raise VertexNotInGraph(f"vertex {v} not in graph of size {g.n}")
     remap = {old: new for new, old in enumerate(order)}
     sym_adj, edges, labels, undirected = g.sym_adj, g.edges, g.labels, g.undirected_input
+    rows = tuple([tuple([remap[v] for v in sym_adj[u] if v in remap]) for u in order])
     kept = frozenset([
-        (remap[u], remap[v]) for u in order for v in sym_adj[u]
-        if v in remap and (undirected or (u, v) in edges)
+        (i, j) for i, row in enumerate(rows) for j in row
+        if undirected or (order[i], order[j]) in edges
     ])
-    return LabeledGraph(
+    sub = LabeledGraph(
         len(order), kept, tuple([labels[v] for v in order]), undirected, tuple(order)
     )
+    sub.__dict__["sym_adj"] = rows  # as :class:`cached_property` writes it
+    return sub

@@ -69,9 +69,18 @@ def _order(pattern: LabeledGraph) -> Order:
 
 
 def _needs(pattern: LabeledGraph) -> list[tuple]:
-    """(label, out-degree, in-degree, self-loop) of each pattern vertex."""
-    return [(*lio, (v, v) in pattern.edges)
-            for v, lio in enumerate(zip(pattern.labels, *pattern.degrees))]
+    """(label, out-degree, in-degree, self-loop, successor labels, predecessor
+    labels) per vertex; if undirected, one set off ``sym_adj`` is both."""
+    labels, edges = pattern.labels, pattern.edges
+    if pattern.undirected_input:
+        outs = ins = [{labels[w] for w in row} for row in pattern.sym_adj]
+    else:
+        outs, ins = [set() for _ in labels], [set() for _ in labels]
+        for u, v in edges:
+            outs[u].add(labels[v])
+            ins[v].add(labels[u])
+    return [(*lio, (v, v) in edges, outs[v], ins[v])
+            for v, lio in enumerate(zip(labels, *pattern.degrees))]
 
 
 def _plan(pattern: LabeledGraph) -> Plan:
@@ -82,16 +91,26 @@ def _plan(pattern: LabeledGraph) -> Plan:
 def _candidates(needs: list[tuple], target: LabeledGraph) -> list[int] | None:
     """One mask of target candidates per pattern vertex, from the target's
     table: its label, at least its out- and in-degree, a self-loop if it has
-    one. None if the pattern is larger or a vertex has no candidate."""
+    one, and a successor (predecessor) with each of its successor
+    (predecessor) labels (CFL-Match's neighbour-label filter, SIGMOD 2016).
+    None if the pattern is larger, or at the first vertex with none."""
     if len(needs) > target.n:
         return None
-    _, _, label_masks, out_ge, in_ge, loops = target.target_table
+    _, _, label_masks, out_ge, in_ge, loops, to_label, from_label = target.target_table
+    masks = []
     try:
-        masks = [label_masks.get(label, 0) & out_ge[o] & in_ge[i]
-                 & (loops if loop else -1) for label, o, i, loop in needs]
+        for label, o, i, loop, outs, ins in needs:
+            mask = label_masks.get(label, 0) & out_ge[o] & in_ge[i] & (loops if loop else -1)
+            for b in outs:
+                mask &= to_label.get(b, 0)
+            for b in ins if ins is not outs or from_label is not to_label else ():
+                mask &= from_label.get(b, 0)
+            if not mask:
+                return None
+            masks.append(mask)
     except IndexError:  # a degree above the target's largest
         return None
-    return masks if all(masks) else None
+    return masks
 
 
 def iter_homomorphisms(
@@ -99,7 +118,8 @@ def iter_homomorphisms(
 ):
     """Yield every injective homomorphism, lazily; a pattern with no
     vertices has one, ``()``. A target that leaves a pattern vertex without
-    a candidate (:func:`_candidates`) ends the search at once. Otherwise
+    a candidate (:func:`_candidates`, whose masks drop only target vertices
+    that no mapping uses) ends the search at once. Otherwise
     the vertices are assigned in :func:`_order`, each position keeping one
     domain mask: its candidates minus the target vertices used, ANDed with
     the successor or predecessor mask of each back-edge partner assigned.

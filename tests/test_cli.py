@@ -620,6 +620,32 @@ class TestTopLevel:
         assert err == (f"error: {template}: block 1 is tagged 'pos', but a "
                        "--template file holds only template blocks\n")
 
+    @pytest.mark.parametrize("command", [
+        ["mine"],
+        ["check", "--pattern", "tests/fixtures/candidate_hexchord.pattern"],
+        ["encode", "--target", "asp"],
+    ], ids=["mine", "check", "encode"])
+    @pytest.mark.parametrize(("examples_text", "message"), [
+        # Block 0 would otherwise be read twice, once from each file.
+        ("t # 1 pos\nv 0 a\nt # 0 neg\nv 0 b\n",
+         "block id 0 is used in both {template} and {examples}"),
+        # This used to name neither file: "expected exactly one template
+        # block, found 2".
+        ("t # 1 template\nv 0 a\nt # 2 pos\nv 0 a\n",
+         "{examples}: block 1 is a template block, but the template is read "
+         "from {template}"),
+    ], ids=["shared-id", "second-template"])
+    def test_block_ids_across_the_two_files(
+        self, capsys, tmp_path, command, examples_text, message
+    ):
+        template, examples = tmp_path / "t.graphs", tmp_path / "e.graphs"
+        template.write_text("mode undirected\nt # 0 template\nv 0 a\nv 1 b\ne 0 1\n")
+        examples.write_text("mode undirected\n" + examples_text)
+        code, out, err = run(capsys, *command, "--template", str(template),
+                             "--examples", str(examples), "--npos", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(template=template, examples=examples)}\n"
+
     def test_any_value_error_exits_one(self, capsys, monkeypatch):
         def reject(dataset, config):
             raise ValueError("boom")

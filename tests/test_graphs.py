@@ -154,6 +154,31 @@ class TestDegrees:
                     assert mask == sum(1 << v for v, a in enumerate(nbrs) if len(a) >= d)
 
 
+class TestNeighbourLabels:
+    """The target table's per-label masks of the vertices with a successor
+    and with a predecessor of that label, and each pattern vertex's
+    successor and predecessor labels in ``_needs``, against the edge set.
+    An undirected graph keeps one of each, shared."""
+
+    def test_match_the_edge_set(self):
+        shared = 0
+        for g in TestDegrees.graphs():
+            labels, edges = g.labels, g.edges
+            *_, to_label, from_label = g.target_table
+            assert to_label == {
+                b: sum({1 << u for u, v in edges if labels[v] == b}) for b in labels}
+            assert from_label == {
+                b: sum({1 << v for u, v in edges if labels[u] == b}) for b in labels}
+            needs = _needs(g)
+            assert [need[4:] for need in needs] == [
+                ({labels[v] for u, v in edges if u == x},
+                 {labels[u] for u, v in edges if v == x}) for x in g.vertices()]
+            assert (to_label is from_label) == g.undirected_input
+            assert all((outs is ins) == g.undirected_input for *_, outs, ins in needs)
+            shared += g.undirected_input and any(to_label.values())
+        assert shared > 50
+
+
 class TestReachable:
     def test_path_transitivity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)], ["a"] * 4, undirected=True)
@@ -295,6 +320,9 @@ class TestInducedSubgraph:
                         sub = induced_subgraph(g, reversed(subset))
                         assert (sub.n, sub.edges, sub.labels, sub.undirected_input,
                                 sub.orig_ids) == self.reference(g, subset)
+                        # The adjacency written at build is the one its edges give.
+                        fresh = build_graph(sub.n, sub.edges, sub.labels, undirected)
+                        assert vars(sub)["sym_adj"] == fresh.sym_adj
         assert loops > 20 and isolated > 10
 
     def test_directed_template_drops_in_only_neighbours(self):

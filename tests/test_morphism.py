@@ -256,8 +256,10 @@ class TestIterHomomorphisms:
 
 class TestPlan:
     """``_order`` and ``_candidates`` against the rules their docstrings
-    state, computed here from the raw edge set. The recursive reference
-    walks them itself, so only this test sees a change of the order."""
+    state, computed here from the raw edge set (the candidates: label,
+    degrees, self-loop and the labels of the successors and of the
+    predecessors). The recursive reference walks them itself, so only this
+    test sees a change of the order."""
 
     @staticmethod
     def split_plan(pattern, target):
@@ -303,12 +305,19 @@ class TestPlan:
         def out_in(g, v):
             return sum(a == v for a, _ in g.edges), sum(b == v for _, b in g.edges)
 
+        def neighbour_labels(g, v):
+            """(labels of v's successors, labels of its predecessors)."""
+            return ({g.labels[b] for a, b in g.edges if a == v},
+                    {g.labels[a] for a, b in g.edges if b == v})
+
         candidates = [
             sum(
                 1 << t for t in range(target.n)
                 if target.labels[t] == pattern.labels[v]
                 and all(x >= y for x, y in zip(out_in(target, t), out_in(pattern, v)))
                 and ((v, v) not in edges or (t, t) in target.edges)
+                and all(want <= have for want, have in zip(
+                    neighbour_labels(pattern, v), neighbour_labels(target, t)))
             )
             for v in order
         ]
@@ -360,6 +369,65 @@ class TestPlan:
         both = build_graph(3, [*cycle, (1, 0)], "aaa", undirected=False)
         assert find_homomorphism(pattern, both) == (0, 1)
         assert brute_force_homomorphisms(pattern, both) == [(0, 1), (1, 0)]
+        # Both neighbour-label directions are checked too. In the directed
+        # cycle a -> b -> c -> a every vertex has out- and in-degree 1, and
+        # the a vertex has a b successor but no b predecessor.
+        ab = build_graph(2, [(0, 1)], "ab", undirected=True)
+        abc = build_graph(3, [(0, 1), (1, 2), (2, 0)], "abc", undirected=False)
+        TestNeighbourLabelFilter.assert_ended_by_neighbour_labels(ab, abc)
+
+
+class TestNeighbourLabelFilter:
+    """Each pair passes the label, degree and self-loop masks at every
+    pattern vertex, but one pattern vertex has no candidate with a
+    neighbour of a label it needs, so ``_candidates`` ends the search, and
+    no mapping exists."""
+
+    @staticmethod
+    def first_masks(pattern, target):
+        """Each pattern vertex's label, degree and self-loop masks, ANDed,
+        from the raw edge sets."""
+        def out_in(g, v):
+            return sum(a == v for a, _ in g.edges), sum(b == v for _, b in g.edges)
+
+        return [
+            sum(1 << t for t in range(target.n)
+                if target.labels[t] == pattern.labels[v]
+                and all(x >= y for x, y in zip(out_in(target, t), out_in(pattern, v)))
+                and ((v, v) not in pattern.edges or (t, t) in target.edges))
+            for v in range(pattern.n)
+        ]
+
+    @classmethod
+    def assert_ended_by_neighbour_labels(cls, pattern, target):
+        assert all(cls.first_masks(pattern, target))
+        assert _candidates(_needs(pattern), target) is None
+        assert list(iter_homomorphisms(pattern, target)) == []
+        assert brute_force_homomorphisms(pattern, target) == []
+
+    def test_undirected(self):
+        # The path a - b - c: the target's b vertex has two a neighbours
+        # and no c one.
+        pattern = build_graph(3, [(0, 1), (1, 2)], "abc", undirected=True)
+        edges = [(0, 1), (1, 2), (3, 4)]
+        self.assert_ended_by_neighbour_labels(
+            pattern, build_graph(5, edges, "abaca", undirected=True))
+        # Given a c neighbour, it maps, as the brute force finds.
+        target = build_graph(5, [*edges, (1, 3)], "abaca", undirected=True)
+        assert _candidates(_needs(pattern), target) == [0b00101, 0b00010, 0b01000]
+        assert list(iter_homomorphisms(pattern, target)) == brute_force_homomorphisms(
+            pattern, target) == [(0, 1, 3), (2, 1, 3)]
+
+    def test_directed_separates_successor_and_predecessor_labels(self):
+        # In the cycle a -> c -> b -> a the a vertex has a b predecessor but
+        # no b successor, and the b vertex an a successor but no a
+        # predecessor: a -> b has no candidate, and b -> a maps.
+        cycle = build_graph(3, [(0, 2), (2, 1), (1, 0)], "abc", undirected=False)
+        a_to_b = build_graph(2, [(0, 1)], "ab", undirected=False)
+        self.assert_ended_by_neighbour_labels(a_to_b, cycle)
+        b_to_a = build_graph(2, [(1, 0)], "ab", undirected=False)
+        assert _candidates(_needs(b_to_a), cycle) == [0b001, 0b010]
+        assert find_homomorphism(b_to_a, cycle) == (0, 1)
 
 
 class TestCaches:
