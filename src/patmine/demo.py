@@ -18,9 +18,6 @@ TEMPLATE_EDGES = HEX_EDGES + [(1, 4), (3, 6), (6, 7)]
 POSITIVE_EDGES = HEX_EDGES + [(0, 3), (2, 5)]
 NEGATIVE_EDGES = [(0, 1), (1, 2), (2, 3)]
 
-HEXCHORD_SUBSET = (0, 1, 2, 3, 4, 5)
-TAILPATH_SUBSET = (3, 6, 7)
-
 
 def demo_template() -> LabeledGraph:
     return build_graph(8, TEMPLATE_EDGES, ["a"] * 8, undirected=True)
@@ -45,8 +42,3 @@ def demo_dataset(n_pos_threshold: int = 1, n_neg_threshold: int = 0) -> Dataset:
         n_neg_threshold=n_neg_threshold,
     )
 
-
-def hexagon_with_chord(chord: tuple[int, int]) -> LabeledGraph:
-    """A 6-cycle plus one chord; the two long-chord placements (1,4) and
-    (0,3) are isomorphic candidates of the demo instance."""
-    return build_graph(6, HEX_EDGES + [chord], ["a"] * 6, undirected=True)

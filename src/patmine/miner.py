@@ -116,31 +116,29 @@ def _entry(pattern: LabeledGraph, bucket: list) -> tuple[LabeledGraph, tuple]:
     return pattern, tuple(range(pattern.n))
 
 
-def _extension(template: LabeledGraph, subset: tuple[int, ...],
-               below: dict) -> tuple[tuple, int, tuple] | None:
-    """The extension key of ``subset``, the position p of the vertex w it
-    adds to its parent T, and T's isomorphism onto its class
-    representative; None if it has no parent.
+def _extensions(template: LabeledGraph, subset: tuple[int, ...],
+                known: list) -> Iterator[tuple[tuple, int, tuple]]:
+    """Yield, for each parent T of ``subset`` in ``combinations`` order,
+    its extension key, the position p of the vertex w that ``subset``
+    adds to T, and T's isomorphism onto its class representative R.
 
-    ``below`` holds the records of the level below (see :func:`mine`).
-    T is the first one-smaller sub-subset of ``subset`` with a record
-    other than None; the key is T's representative R, the label of w, whether w has a
+    ``known`` holds the one-smaller sub-subsets' records (see
+    :func:`mine`); a parent is one that names an R (a disconnected one
+    reads ``(0, (), ())``). The key is R, the label of w, whether w has a
     self-loop, and the masks of the R ids of w's out- and in-neighbours
     in T. Two candidates with one key are both R plus one vertex attached
-    the same way, so they are isomorphic (McKay's canonical
-    augmentation)."""
-    for i, parent in enumerate(combinations(subset, len(subset) - 1)):
-        if (record := below.get(parent)) is not None:
-            break
-    else:
-        return None
-    p = len(subset) - 1 - i  # the i-th sub-subset lacks that position
-    (_, rep, iso), w, edges = record, subset[p], template.edges
-    out = inn = 0
-    for u, j in zip(parent, iso):
-        out |= ((w, u) in edges) << j
-        inn |= ((u, w) in edges) << j
-    return (rep, template.labels[w], (w, w) in edges, out, inn), p, iso
+    the same way, so they are isomorphic (McKay's canonical augmentation)."""
+    edges, adj, k = template.edges, template.sym_adj, len(subset) - 1
+    for i, (_, rep, iso) in enumerate(known):
+        if not rep:
+            continue
+        p, out, inn = k - i, 0, 0  # the i-th sub-subset lacks position k - i
+        w = subset[p]
+        for u, j in zip(subset[:p] + subset[p + 1:], iso):
+            if u in adj[w]:
+                out |= ((w, u) in edges) << j
+                inn |= ((u, w) in edges) << j
+        yield (rep, template.labels[w], (w, w) in edges, out, inn), p, iso
 
 
 def candidate_subsets(template: LabeledGraph, size: int) -> Iterator[tuple[int, ...]]:
@@ -249,38 +247,41 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     """Enumerate canonical valid patterns, smallest size first.
 
     Within a size level, candidates are scanned in lexicographic subset
-    order, and a candidate isomorphic to a pattern evaluated earlier at
-    its level takes that pattern's outcome, so no two emitted patterns of
-    a level are isomorphic and no class is evaluated twice. Validity is
-    the same for isomorphic subsets, so each emitted subset is the
+    order, and a candidate isomorphic to a pattern built earlier at its
+    level takes that pattern's outcome, so no two emitted patterns of a
+    level are isomorphic and no class is evaluated twice. Validity is the
+    same for isomorphic subsets, so each emitted subset is the
     lexicographically first of its isomorphism class. Coverage runs
     serially in the calling thread. The sequence of emitted patterns is
     deterministic for fixed inputs; only the elapsed_ms fields vary.
+    Levels run from size 2 (or 1) whatever the min size; a level below it
+    evaluates and emits nothing, so the first emitted pattern's elapsed_ms
+    includes those levels.
 
     Each level keeps one record per candidate: None if it was pruned or
     failed N+, else (miss mask, R, isomorphism onto R), where R is the
-    subset whose pattern was evaluated for its class and the isomorphism
-    is R's dense id of each vertex. The miss mask (see
-    :func:`count_covered`) holds the examples R missed plus those it
-    inherited; an N+ failure's count is a bound and its mask is dropped.
+    first subset built for its class and the isomorphism is R's dense id
+    of each vertex. The miss mask (see :func:`count_covered`) holds the
+    examples R missed plus those it inherited; an N+ failure's count is a
+    bound and its mask is dropped, and below the min size it is empty.
     Only the previous level's records are kept.
 
     Positive coverage is anti-monotone: a pattern maps into every example
     that one of its supersets maps into. A candidate with a one-smaller
     sub-subset recorded None is pruned unevaluated, and a level recording
     only None ends the run, since every connected (k+1)-subset contains a
-    connected k-subset. Otherwise :func:`_extension` reads its parent's
-    record and makes its extension key. The first candidate with a key is
-    built and decided by :func:`_entry` in the level's class table, which
-    holds every pattern the level evaluated; the key then keeps its
-    record with the isomorphism as a frame: the parent class's R ids, and
-    one slot for the added vertex, mapped to R's ids. A later candidate
-    with the key takes that record unbuilt, its isomorphism read through
-    the frame. A copy of an accepted pattern is frequent and takes its
-    miss mask; a copy of a rejected one is not evaluated again. An
-    evaluated candidate starts from the ``|`` of its one-smaller
-    sub-subsets' miss masks, which the decomposed counts skip without a
-    search; skipping a known miss never changes a count.
+    connected k-subset. Otherwise :func:`_extensions` yields its extension
+    keys, one per parent; a candidate whose first key is kept takes the
+    record kept with it unbuilt, its isomorphism read through the key's
+    frame. Any other candidate is built and decided by :func:`_entry` in
+    the level's class table, which holds the R of each class the level
+    built; then each of its keys not kept yet keeps its record with the
+    isomorphism as a frame: that parent class's R ids, and one slot for
+    the added vertex, mapped to R's ids. A copy of an accepted pattern is
+    frequent and takes its miss mask; a copy of a rejected one is not
+    evaluated again. An evaluated candidate starts from the ``|`` of its
+    one-smaller sub-subsets' miss masks, which the decomposed counts skip
+    without a search; skipping a known miss never changes a count.
 
     The class table buckets a built candidate by its profile, the sorted
     (label, out-degree, in-degree) of its vertices, and its deck, the
@@ -289,56 +290,57 @@ def mine(dataset: Dataset, config: MiningConfig) -> list[MineResult]:
     candidates share both, by induction over the levels: each level's
     table is complete, so every class of the level below has one R, and
     an isomorphism maps each sub-subset of one candidate onto an
-    isomorphic sub-subset of the other. A run's first level keeps no level
+    isomorphic sub-subset of the other. The first level keeps no level
     below, so there the profile alone decides the bucket. The profile
     also keeps vertex and edge counts equal within a bucket, which
     :func:`_entry` needs.
     """
     results: list[MineResult] = []
-    if config.max_patterns is not None and config.max_patterns <= 0:
-        return results
     template = dataset.template
     top = template.n
     if config.max_pattern_size is not None:
         top = min(top, config.max_pattern_size)
+    if top < config.min_pattern_size or config.max_patterns == 0:
+        return results
     level: dict[tuple[int, ...], tuple | None] = {}
     t_prev = time.perf_counter()
-    for size in range(config.min_pattern_size, top + 1):
+    for size in range(min(2, config.min_pattern_size), top + 1):
         classes: dict[tuple, list[LabeledGraph]] = {}  # by (profile, deck)
         extended: dict[tuple, tuple | None] = {}  # extension key -> record with frame
         below, level = level, {}
         for subset in candidate_subsets(template, size):
             # A disconnected sub-subset has no record, misses nothing and has no R.
-            known = [below.get(s, (0, ())) for s in combinations(subset, size - 1)]
+            known = [below.get(s, (0, (), ())) for s in combinations(subset, size - 1)]
             if None in known:
                 level[subset] = None
                 continue
-            if (found := _extension(template, subset, below)) is not None:
-                key, p, parent_iso = found
-                if key in extended:
-                    if (record := extended[key]) is not None:
-                        mask, rep_ids, frame = record
-                        onto = [frame[j] for j in parent_iso]
-                        onto.insert(p, frame[-1])
-                        record = mask, rep_ids, tuple(onto)
-                    level[subset] = record
-                    continue
+            parents = _extensions(template, subset, known)
+            if (first := next(parents, None)) is not None and first[0] in extended:
+                if (record := extended[first[0]]) is not None:
+                    mask, rep_ids, frame = record
+                    onto = [frame[j] for j in first[2]]
+                    onto.insert(first[1], frame[-1])
+                    record = mask, rep_ids, tuple(onto)
+                level[subset] = record
+                continue
             pattern = induced_subgraph(template, subset)
             profile = tuple(sorted(zip(pattern.labels, *pattern.degrees)))
             deck = tuple(sorted([r[1] for r in known]))
             rep, iso = _entry(pattern, classes.setdefault((profile, deck), []))
-            if rep is pattern:
+            if rep is pattern and size < config.min_pattern_size:
+                record, ok = (0, subset, iso), False
+            elif rep is pattern:
                 misses = [reduce(or_, [r[0] for r in known])]
                 ok, pos, neg = evaluate_strategy(pattern, dataset, config, misses)
                 record = (misses[0], subset, iso) if pos >= config.n_pos_threshold else None
             elif (record := level[rep.orig_ids]) is not None:
                 record = record[0], rep.orig_ids, iso
             level[subset] = record
-            if found is not None:
-                if record is not None:  # ids: each vertex's parent R id, w's slot size - 1
+            for key, p, parent_iso in (first, *parents) if first else ():
+                if key not in extended:  # ids: each vertex's parent R id, w's slot size - 1
                     ids = [*parent_iso[:p], size - 1, *parent_iso[p:]]
-                    record = record[0], record[1], [f for _, f in sorted(zip(ids, record[2]))]
-                extended[key] = record
+                    extended[key] = None if record is None else (
+                        *record[:2], [f for _, f in sorted(zip(ids, record[2]))])
             if rep is not pattern or not ok:
                 continue
             now = time.perf_counter()

@@ -22,9 +22,15 @@ from patmine import (
     build_graph,
     induced_subgraph,
 )
+from patmine.demo import HEX_EDGES
 from patmine.morphism import _candidates, _needs, _order
 
 BRUTE_FORCE_MAX_PATTERN = 8
+
+# The demo template's hexagon with its chord (1, 4), a valid pattern at
+# thresholds (1, 0), and its tail path, which also maps into the negative.
+HEXCHORD_SUBSET = (0, 1, 2, 3, 4, 5)
+TAILPATH_SUBSET = (3, 6, 7)
 
 
 class PatternTooLarge(ValueError):
@@ -288,3 +294,9 @@ def recursive_homomorphisms(pattern: LabeledGraph, target: LabeledGraph):
                 used[t] = False
 
     yield from extend(0)
+
+
+def hexagon_with_chord(chord: tuple[int, int]) -> LabeledGraph:
+    """A 6-cycle plus one chord; the two long-chord placements (1,4) and
+    (0,3) are isomorphic candidates of the demo instance."""
+    return build_graph(6, HEX_EDGES + [chord], ["a"] * 6, undirected=True)

@@ -27,18 +27,15 @@ from patmine import (
     write_graphs,
 )
 from patmine.dataio import SynthParams, gen_synthetic
-from patmine.demo import (
-    HEX_EDGES,
-    HEXCHORD_SUBSET,
-    TAILPATH_SUBSET,
-    demo_dataset,
-    hexagon_with_chord,
-)
+from patmine.demo import HEX_EDGES, demo_dataset
 
 from oracles import (
+    HEXCHORD_SUBSET,
+    TAILPATH_SUBSET,
     bijection_isomorphic,
     brute_force_homomorphisms,
     exhaustive_pattern_classes,
+    hexagon_with_chord,
     random_graph,
 )
 

@@ -13,10 +13,11 @@ from patmine import (
     induced_subgraph,
     is_connected,
 )
-from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET
 from patmine.morphism import _candidates, _needs
 
 from oracles import (
+    HEXCHORD_SUBSET,
+    TAILPATH_SUBSET,
     closure_reachable,
     random_graph,
     reachable,

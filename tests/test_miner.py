@@ -27,11 +27,13 @@ from patmine import (
     mine,
 )
 from patmine.dataio import SynthParams, gen_synthetic
-from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, demo_dataset
+from patmine.demo import demo_dataset
 from patmine.morphism import count_covered
 
 from oracles import (
     BRUTE_FORCE_MAX_PATTERN,
+    HEXCHORD_SUBSET,
+    TAILPATH_SUBSET,
     adjacency_signature,
     bijection_isomorphic,
     brute_force_homomorphisms,
@@ -115,13 +117,14 @@ def decided_by(monkeypatch, dataset, cfg):
     """Mine ``dataset`` and return the results and, for each candidate
     that took another subset's decision, in scan order: (candidate,
     that subset, path, built), subsets as tuples. The path is the step
-    that decides it: "extension" when ``miner._extension`` gives it the
-    key an earlier candidate got, whose decision it takes (the candidate
-    is yielded, not pruned and never built, and built is None), else
-    "search" when ``miner._entry`` maps it into another pattern of its
-    bucket, and built is (the candidate's graph, that pattern)."""
+    that decides it: "extension" when the first key ``miner._extensions``
+    yields for it is one that an earlier built candidate registered under
+    any of its parents, whose decision it takes (the candidate is not
+    pruned and never built, and built is None), else "search" when
+    ``miner._entry`` maps it into another pattern of its bucket, and
+    built is (the candidate's graph, that pattern)."""
     shared, firsts = [], {}
-    real_entry, real_extension = patmine.miner._entry, patmine.miner._extension
+    real_entry, real_extensions = patmine.miner._entry, patmine.miner._extensions
 
     def entry(pattern, bucket):
         found, iso = real_entry(pattern, bucket)
@@ -129,14 +132,17 @@ def decided_by(monkeypatch, dataset, cfg):
             shared.append((pattern.orig_ids, found.orig_ids, "search", (pattern, found)))
         return found, iso
 
-    def extension(template, subset, below):
-        found = real_extension(template, subset, below)
-        if found is not None and (first := firsts.setdefault(found[0], subset)) != subset:
-            shared.append((subset, first, "extension", None))
-        return found
+    def extensions(template, subset, known):
+        found = list(real_extensions(template, subset, known))
+        if found and found[0][0] in firsts:
+            shared.append((subset, firsts[found[0][0]], "extension", None))
+        else:  # built: each of its keys not registered yet is registered to it
+            for key, _, _ in found:
+                firsts.setdefault(key, subset)
+        return iter(found)
 
     monkeypatch.setattr(patmine.miner, "_entry", entry)
-    monkeypatch.setattr(patmine.miner, "_extension", extension)
+    monkeypatch.setattr(patmine.miner, "_extensions", extensions)
     results = mine(dataset, cfg)
     monkeypatch.undo()
     return results, shared
@@ -207,10 +213,12 @@ class TestTemplateOccurrences:
         # isomorphism class, and blocks exactly the rest of the class.
         # Both ways of finding the blocking pattern occur. Two one-label
         # directed 5-cycles, numbered along the cycle and in steps of 2,
-        # show both on one pair: mined from size 1, the second cycle
+        # show both on one template: mined from size 1, the second cycle
         # extends a 4-path the way the first does and takes its decision
-        # by extension key; mined from size 5, where no level below is
-        # kept, the search decides it.
+        # by extension key; mined from size 2, the first level a run
+        # starts at, with no level below, the search decides each edge
+        # after the first. Mined from size 5, the levels below still run,
+        # and only size 5 is emitted.
         rng = random.Random(53)
         checked = 0
         paths = Counter()
@@ -219,8 +227,9 @@ class TestTemplateOccurrences:
             undirected=trial % 2 == 0, loops=trial % 4 >= 2,
         ), 1, 4) for trial in range(24)]
         cycles = two_cycles()
-        for t, low, top in [*templates, (cycles, 1, 5), (cycles, 5, 5)]:
+        for t, low, top in [*templates, (cycles, 1, 5), (cycles, 2, 5), (cycles, 5, 5)]:
             occ = occurrences(monkeypatch, t, low, top, paths)
+            assert min(map(len, occ)) >= low
             for k in range(low, top + 1):
                 classes: list[list[tuple[int, ...]]] = []
                 for s in itertools.combinations(range(t.n), k):
@@ -288,19 +297,21 @@ class TestOccurrenceSignature:
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def bucket_pairs(trial):
-        """Mine seeded template ``trial`` with vacuous thresholds from size
-        1, where every level above the first keys on its deck too, and from
-        size 3, whose first level keys on the degree profile alone. Returns
-        the isomorphic pairs of built patterns, as (pair of orig_ids, both
-        looked up in one bucket), counted by (min size, above the first
-        level)."""
+        """Mine seeded template ``trial`` with vacuous thresholds and no
+        extension keys, so every candidate is built and looked up, from
+        size 1, where every level above the first keys on its deck too,
+        and from size 2, whose first level keys on the degree profile
+        alone. Returns the isomorphic pairs of built patterns, as (pair of
+        orig_ids, both looked up in one bucket), counted by (min size,
+        above the first level)."""
         t = SEEDED_TEMPLATES[trial]
         ds = Dataset(template=t, examples=(), n_pos_threshold=0, n_neg_threshold=0)
         real = patmine.miner._entry
         pairs = Counter()
-        for min_size in (1, 3):
+        for min_size in (1, 2):
             looked_up = []
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(patmine.miner, "_extensions", lambda *record: iter(()))
                 mp.setattr(patmine.miner, "_entry", lambda g, bucket: (
                     looked_up.append((g, bucket)) or real(g, bucket)))
                 mine(ds, config(n_pos=0, min_pattern_size=min_size))
@@ -321,7 +332,8 @@ class TestOccurrenceSignature:
     def test_isomorphic_patterns_share_a_bucket(self):
         # Over the seeded templates, isomorphic pairs are met on first
         # levels and on deck-keyed levels above them, from both min sizes.
-        # Three templates build no such pair above their first level.
+        # Two templates build no such pair above size 1, and four none
+        # above size 2.
         counts = Counter()
         for trial in range(len(SEEDED_TEMPLATES)):
             for (key, _, _), n in self.bucket_pairs(trial).items():
@@ -368,15 +380,16 @@ class TestOccurrenceSignature:
 
     def test_blocking_lookup_tests_only_isomorphic_patterns(self, monkeypatch):
         # The canonicity-heavy benchmark instance: 2 labels, N+=1, max-size 6.
-        # 1,162 candidates are blocked. An extension key decides 946 of
-        # them unbuilt; a search in the class table decides the 216 built.
-        # Each of the 217 searches, one per built copy, meets a bucket whose
+        # 1,162 candidates are blocked. An extension key, registered by an
+        # earlier built copy under any of its parents, decides 1,079 of
+        # them unbuilt; a search in the class table decides the 83 built.
+        # Each of the 83 searches, one per built copy, meets a bucket whose
         # first pattern is isomorphic to it, so none misses.
         # Two more candidates are copies of one that failed N+ and take
-        # its record unevaluated: one extends its class the same way, and
-        # the class table holds the other's rejected class. No candidate an
-        # extension key decides is built; one the class table decides builds
-        # its adjacency table for its search.
+        # its record unevaluated, each by an extension key. No candidate an
+        # extension key decides is built; a search into a bucket pattern
+        # builds that pattern's target table, and no blocked candidate is
+        # ever a search target.
         base = gen_synthetic(SynthParams(4, (20, 25), 30, 2, 1.0, 0))
         ds = Dataset(template=base.template, examples=base.examples,
                      n_pos_threshold=1, n_neg_threshold=0)
@@ -392,13 +405,14 @@ class TestOccurrenceSignature:
         blocked = [(candidate, path, graphs) for candidate, _, path, graphs in shared
                    if owner[candidate] in emitted]
         assert len(results) == 222
-        assert Counter(path for _, path, _ in blocked) == {"extension": 946, "search": 216}
-        assert len(verdicts) == 217 and None not in verdicts
+        assert Counter(path for _, path, _ in blocked) == {"extension": 1079, "search": 83}
+        assert len(verdicts) == 83 and None not in verdicts
         assert not any(c in built for c, path, _ in blocked if path == "extension")
-        assert all("sym_adj" in graphs[0].__dict__ for _, path, graphs in blocked
-                   if path == "search")
+        searched = [graphs for _, path, graphs in blocked if path == "search"]
+        assert all("target_table" in found.__dict__ for _, found in searched)
+        assert not any("target_table" in candidate.__dict__ for candidate, _ in searched)
         rejected = [(owner[c], path) for c, _, path, _ in shared if owner[c] not in emitted]
-        assert [path for _, path in rejected] == ["extension", "search"]
+        assert [path for _, path in rejected] == ["extension", "extension"]
         assert len({subset for subset, _ in rejected}) == 1
         pattern = induced_subgraph(ds.template, rejected[0][0])
         assert is_valid_pattern(pattern, ds, config()) == (False, 0, 0)
@@ -902,17 +916,14 @@ class TestKnownMisses:
         # without it); the monolithic stream count depends on none of them.
         # Both move with the number of evaluated candidates, 54 here. The
         # blocking searches of ``miner._entry``, which imports
-        # ``find_homomorphism`` by name, are counted apart: 11 under either
+        # ``find_homomorphism`` by name, are counted apart: 10 under either
         # strategy, each into an isomorphic pattern. The class table holds
-        # every pattern a level evaluated, so 9 rejected candidates
+        # every pattern a level evaluated, so 13 rejected candidates
         # isomorphic to one rejected earlier at their level take its record
-        # unevaluated, and 4 more extend a class the way an earlier
-        # rejected candidate did (extension keys). Only 4 of the 9 equal
-        # the pattern they copy: a table of accepted patterns beside a
-        # memo of equal graphs evaluates the other 5 and one more
-        # extension again, for 60 evaluations, 175 searches and 1,900
-        # streams. Without extension keys the table decides those copies
-        # itself, and the counts hold.
+        # unevaluated: 8 by a search in the table and 5 that extend a class
+        # the way an earlier built rejected candidate did, under any of its
+        # parents (extension keys). Without extension keys the table
+        # decides those 5 copies itself, and the counts hold.
         ds = search_counting_instance()
         finds, blocking, streams = [], [], []
         real_find, real_block = patmine.morphism.find_homomorphism, patmine.miner.find_homomorphism
@@ -926,12 +937,12 @@ class TestKnownMisses:
                             lambda p, t: streams.append(1) or real_iter(p, t))
         dec = mine(ds, config(2, 1, max_pattern_size=5))
         assert (len(dec), len(finds), len(streams)) == (23, 159, 0)
-        assert len(blocking) == 11 and None not in blocking
+        assert len(blocking) == 10 and None not in blocking
         blocking.clear()
         mono = mine(ds, config(2, 1, max_pattern_size=5,
                                strategy=Strategy.MONOLITHIC))
         assert [r.subset for r in mono] == [r.subset for r in dec]
-        assert len(streams) == 1682 and len(blocking) == 11
+        assert len(streams) == 1682 and len(blocking) == 10
 
 
 class TestClassTable:
@@ -965,9 +976,10 @@ class TestClassTable:
     def test_a_bucket_keeps_every_class_of_its_bucket_key(self, monkeypatch, undirected, loops):
         # A connected 7-vertex graph G, a degree-preserving edge swap G' of
         # it that is not isomorphic to G, and a copy of G' beside them: one
-        # degree profile, two classes. Mined from size 7, with no level
-        # below to extend or to make a deck of, the copy meets a bucket
-        # holding G and G': the search into G misses and the one into G'
+        # degree profile, two classes. Mined from size 7 (the levels below
+        # run too), the copy is blocked by G' and G is not. A bucket that
+        # holds G and G', as one keyed on the profile alone would, keeps
+        # both: the search of the copy into G misses and the one into G'
         # blocks it.
         rng = random.Random(89)
         while True:
@@ -982,30 +994,64 @@ class TestClassTable:
                         union.labels + union.labels[7:], undirected)
         first, second, copy = (tuple(range(a, a + 7)) for a in (0, 7, 14))
         assert occurrences(monkeypatch, t, 7, 7) == {first: [first], second: [second, copy]}
+        bucket = []
+        found = [patmine.miner._entry(induced_subgraph(t, s), bucket)[0].orig_ids
+                 for s in (first, second, copy)]
+        assert found == [first, second, second] and [g.orig_ids for g in bucket] == found[:2]
 
     @pytest.mark.parametrize("strategy,min_sizes", [
-        pytest.param(Strategy.DECOMPOSED, (4, 6), id="decomposed"),
+        pytest.param(Strategy.DECOMPOSED, (3, 4, 6), id="decomposed"),
         pytest.param(Strategy.MONOLITHIC, (6,), id="monolithic"),
     ])
-    def test_a_first_level_above_two_mines_the_same_patterns(self, strategy, min_sizes):
-        # A run's first level has no level below, so its buckets key on the
-        # degree profile alone; on canon-dense that level holds hundreds of
-        # candidates. Mined from a larger min size, the canon-dense
-        # instance emits what the run from size 2 emits at those sizes.
+    def test_a_first_level_above_two_mines_the_same_patterns(
+            self, monkeypatch, strategy, min_sizes):
+        # A run starts at size 2 whatever its min size, evaluates no
+        # pattern below the min size and emits only the patterns of at
+        # least the min size: mined from a larger min size, the canon-dense
+        # instance emits what the run from size 2 emits at those sizes,
+        # and its class table makes about the same searches, since every
+        # level above 2 keys its buckets on the deck too. From size 6 it
+        # makes one more: level 5 evaluates nothing, so it prunes nothing.
         params, n_pos, n_neg, max_size = WORKLOAD_INSTANCES["canon-dense"]
         base = gen_synthetic(params)
         ds = Dataset(base.template, base.examples, n_pos, n_neg)
+        searches, evaluated = [], []
+        real_find, real_evaluate = patmine.miner.find_homomorphism, patmine.miner.evaluate_strategy
+        monkeypatch.setattr(patmine.miner, "find_homomorphism",
+                            lambda g1, g2: searches.append(1) or real_find(g1, g2))
+        monkeypatch.setattr(patmine.miner, "evaluate_strategy",
+                            lambda g, *rest: evaluated.append(g.n) or real_evaluate(g, *rest))
 
         def mined(min_size):
+            searches.clear()
+            evaluated.clear()
             return [(r.subset, r.positive_covered, r.negative_covered)
                     for r in mine(ds, config(n_pos, n_neg, min_pattern_size=min_size,
                                              max_pattern_size=max_size, strategy=strategy))]
 
         full = mined(2)
+        assert len(searches) == 83
         for min_size in min_sizes:
             expected = [r for r in full if len(r[0]) >= min_size]
             assert len(expected) > 100
             assert mined(min_size) == expected
+            assert len(searches) == (84 if min_size == 6 else 83)
+            assert min(evaluated) == min_size
+
+    def test_a_min_size_above_the_template_mines_nothing(self, monkeypatch):
+        # No size lies between the min size and the template's vertex
+        # count, so mine() returns at once: no candidate is built or
+        # evaluated.
+        calls = []
+        for name in ("induced_subgraph", "evaluate_strategy"):
+            real = getattr(patmine.miner, name)
+            monkeypatch.setattr(patmine.miner, name,
+                                lambda *args, _real=real: calls.append(1) or _real(*args))
+        ds = demo_dataset()
+        for max_size in (None, ds.template.n + 1):
+            cfg = config(min_pattern_size=ds.template.n + 1, max_pattern_size=max_size)
+            assert mine(ds, cfg) == []
+        assert calls == []
 
 
 def mined_and_searched(mp, instances, strategy, max_size):
@@ -1078,23 +1124,25 @@ class TestExtensionKeys:
         # takes, that of a valid or of a rejected pattern; every record a
         # level keeps maps its subset onto its representative by a
         # bijection that keeps labels, edges and self-loops. The records
-        # are read where the next level reads them, in the level below
-        # that ``miner._extension`` receives, and every size below the
-        # largest one emitted is read. An N+ failure records None, so it
-        # has no map. Mined from size 1, the two cycles' second copy takes
-        # the first's decision by its extension key.
+        # are read where the next level reads them, in the records of the
+        # one-smaller sub-subsets that ``miner._extensions`` receives, and
+        # every size from the run's first level (size 2 or below) to below
+        # the largest one emitted is read. An N+ failure records None, so
+        # it has no map. Mined from size 1, the two cycles' second copy
+        # takes the first's decision by its extension key.
         seen = Counter()
         cycles = (Dataset(two_cycles(), (), 0, 0), 1)
         for ds, min_size in [*extension_instances(), cycles]:
-            t, levels, built = ds.template, [], set()
-            real_extension, real_induced = patmine.miner._extension, induced_subgraph
+            t, records, built = ds.template, {}, set()
+            real_extensions, real_induced = patmine.miner._extensions, induced_subgraph
 
-            def extension(template, subset, below):
-                if all(below is not x for x in levels):
-                    levels.append(below)
-                return real_extension(template, subset, below)
+            def extensions(template, subset, known):
+                for s, record in zip(itertools.combinations(subset, len(subset) - 1), known):
+                    if record[1]:  # a disconnected sub-subset names no representative
+                        records[s] = record
+                return real_extensions(template, subset, known)
 
-            monkeypatch.setattr(patmine.miner, "_extension", extension)
+            monkeypatch.setattr(patmine.miner, "_extensions", extensions)
             monkeypatch.setattr(patmine.miner, "induced_subgraph",
                                 lambda g, s: built.add(s) or real_induced(g, s))
             results, shared = decided_by(monkeypatch, ds, config(
@@ -1107,10 +1155,10 @@ class TestExtensionKeys:
                 assert bijection_isomorphic(induced_subgraph(t, first), g), subset
                 seen[is_valid_pattern(g, ds, config(ds.n_pos_threshold,
                                                     ds.n_neg_threshold))[0]] += 1
-            records = [(s, r) for below in levels for s, r in below.items() if r is not None]
-            top = max((len(r.subset) for r in results), default=min_size)
-            assert {len(s) for s, _ in records} >= set(range(min_size, top))
-            for subset, (_, rep, iso) in records:
+            first_level = min(2, min_size)
+            top = max((len(r.subset) for r in results), default=first_level)
+            assert {len(s) for s in records} >= set(range(first_level, top))
+            for subset, (_, rep, iso) in records.items():
                 g, r = induced_subgraph(t, subset), induced_subgraph(t, rep)
                 assert sorted(iso) == list(range(r.n)) and g.n == r.n
                 assert [r.labels[iso[v]] for v in range(g.n)] == list(g.labels)
@@ -1138,7 +1186,7 @@ class TestExtensionKeys:
         with pytest.MonkeyPatch.context() as mp:
             keyed, keyed_builds = mined_and_built(mp)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(patmine.miner, "_extension", lambda *level: None)
+            mp.setattr(patmine.miner, "_extensions", lambda *record: iter(()))
             plain, plain_builds = mined_and_built(mp)
         assert keyed == plain
         assert keyed_builds < plain_builds
@@ -1151,6 +1199,36 @@ WORKLOAD_INSTANCES = {
     "mixed-neg": (SynthParams(120, (15, 25), 23, 9, 0.75, 0), 9, 1, 4),
     "canon-dense": (SynthParams(4, (20, 25), 30, 2, 1.0, 0), 1, 0, 6),
 }
+
+
+class TestWorkloadCounts:
+    # Pinned work of one decomposed mine() of each workload at seed 0:
+    # builds (``miner.induced_subgraph``), class-table searches
+    # (``miner.find_homomorphism``), evaluations (``miner.evaluate_strategy``)
+    # and coverage searches (``morphism.find_homomorphism``). Counts do not
+    # vary from run to run as times do, so a change that moves one shows
+    # here.
+    COUNTS = {
+        "yoshida-dec": (83, 9, 74, 1292),
+        "mixed-neg": (75, 6, 69, 664),
+        "canon-dense": (310, 83, 227, 245),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(COUNTS))
+    def test_work_counts(self, monkeypatch, workload):
+        params, n_pos, n_neg, max_size = WORKLOAD_INSTANCES[workload]
+        base = gen_synthetic(params)
+        ds = Dataset(base.template, base.examples, n_pos, n_neg)
+        counted = [(patmine.miner, "induced_subgraph"), (patmine.miner, "find_homomorphism"),
+                   (patmine.miner, "evaluate_strategy"), (patmine.morphism, "find_homomorphism")]
+        counts = [0] * len(counted)
+        for i, (module, name) in enumerate(counted):
+            def counting(*args, _i=i, _real=getattr(module, name), **kw):
+                counts[_i] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, name, counting)
+        mine(ds, config(n_pos, n_neg, max_pattern_size=max_size))
+        assert tuple(counts) == self.COUNTS[workload]
 
 
 def renumbered_template(dataset, rng):

@@ -18,7 +18,6 @@ from patmine import (
     induced_subgraph,
     is_isomorphic,
 )
-from patmine.demo import HEXCHORD_SUBSET, TAILPATH_SUBSET, hexagon_with_chord
 from patmine.morphism import (
     _candidates,
     _needs,
@@ -29,9 +28,12 @@ from patmine.morphism import (
 )
 
 from oracles import (
+    HEXCHORD_SUBSET,
+    TAILPATH_SUBSET,
     PatternTooLarge,
     bijection_isomorphic,
     brute_force_homomorphisms,
+    hexagon_with_chord,
     is_homomorphism,
     random_graph,
     recursive_homomorphisms,
